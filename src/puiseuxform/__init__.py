@@ -36,9 +36,7 @@ from .expansion import (
     TraceStep,
     admissible_steps,
     characteristic_poly,
-    count_puiseux_exponents,
     expand_branches,
-    expand_step,
     invariance_residual,
     lemma_checks,
     rational_roots,
@@ -93,9 +91,7 @@ __all__ = [
     "TraceStep",
     "admissible_steps",
     "characteristic_poly",
-    "count_puiseux_exponents",
     "expand_branches",
-    "expand_step",
     "invariance_residual",
     "lemma_checks",
     "rational_roots",

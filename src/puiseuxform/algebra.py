@@ -37,6 +37,28 @@ def rat_str(value: RatLike) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
+def signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Render ``(coeff, monomial_text)`` pairs as a sum, e.g. ``3*c^2 - 3``.
+
+    A unit coefficient is dropped before a monomial; an empty monomial
+    text stands for 1.  No terms render as ``"0"``.
+    """
+    chunks = []
+    for coeff, mono in terms:
+        mag = abs(coeff)
+        if not mono:
+            body = rat_str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = "%s*%s" % (rat_str(mag), mono)
+        if not chunks:
+            chunks.append(body if coeff > 0 else "-" + body)
+        else:
+            chunks.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(chunks) or "0"
+
+
 class _Infinity:
     """Valuation sentinel strictly greater than every rational.
 

@@ -1,14 +1,19 @@
-"""Command line entry points: polygon, expand, verify, check-lemmas, gen."""
+"""Command line entry points: polygon, expand, verify, check-lemmas, gen.
+
+Each command builds one payload dict.  ``--json`` prints it as is, and the
+text output is rendered from the same payload.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from ..algebra import INFINITY, OneForm, rat_str
+from ..algebra import INFINITY, OneForm, rat_str, signed_sum
 from ..expansion import (
     Limits,
     characteristic_poly,
@@ -19,8 +24,8 @@ from ..expansion import (
     verify_bound,
 )
 from ..oracle import STANDARD_SIGNATURES, gen_case
-from ..polygon import MalformedFormError, multiplicity, polygon_of, support, y_order
-from .parser import FormError, ParseError, parse_form, poly_to_text
+from ..polygon import multiplicity, polygon_of, support, y_order
+from .parser import FormError, parse_form, poly_to_text
 from .svg import emit_svg
 
 
@@ -94,30 +99,16 @@ def _pt(p) -> list[str]:
     return [rat_str(p.i), rat_str(p.j)]
 
 
-def _pt_text(p) -> str:
-    return "(%s, %s)" % (rat_str(p.i), rat_str(p.j))
+def _pts_text(pts) -> str:
+    return ", ".join("(%s, %s)" % tuple(p) for p in pts)
 
 
-def _char_poly_text(phi) -> str:
-    if phi.dicritical:
-        return "0"
-    chunks = []
-    for j, co in sorted(phi.coeffs, reverse=True):
-        parts = []
-        if abs(co) != 1 or j == 0:
-            parts.append(rat_str(abs(co)))
-        if j != 0:
-            parts.append("c" if j == 1 else "c^%d" % j)
-        body = "*".join(parts)
-        if not chunks:
-            chunks.append(body if co > 0 else "-" + body)
-        else:
-            chunks.append((" + " if co > 0 else " - ") + body)
-    return "".join(chunks)
+def _emit_json(payload: dict, code: int) -> int:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return code
 
 
-def _polygon_payload(w: OneForm) -> dict:
-    np = polygon_of(w)
+def _polygon_payload(w: OneForm, np) -> dict:
     sides = []
     for s in np.sides:
         phi = characteristic_poly(w, support(np, s.coslope))
@@ -126,7 +117,10 @@ def _polygon_payload(w: OneForm) -> dict:
                 "start": _pt(s.start),
                 "end": _pt(s.end),
                 "coslope": rat_str(s.coslope),
-                "phi": _char_poly_text(phi),
+                "phi": signed_sum(
+                    (co, "" if j == 0 else "c" if j == 1 else "c^%d" % j)
+                    for j, co in reversed(phi.coeffs)
+                ),
                 "dicritical": phi.dicritical,
             }
         )
@@ -153,7 +147,12 @@ def _step_payload(s) -> dict:
     }
 
 
-def _branch_payload(b, w: OneForm | None = None) -> dict:
+def _branch_payload(b, w: OneForm | None) -> dict:
+    """A branch's payload; with ``w`` it includes the invariance residual.
+
+    The residual is the costliest layer and text output does not show it,
+    so commands pass ``w`` only for ``--json``.
+    """
     payload = {
         "series": series_text(b.steps),
         "steps": [_step_payload(s) for s in b.steps],
@@ -167,28 +166,34 @@ def _branch_payload(b, w: OneForm | None = None) -> dict:
     return payload
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _step_text(s) -> str:
-    flags = []
-    if s.characteristic:
-        flags.append("characteristic")
-    if s.dicritical:
-        flags.append("dicritical")
-    tail = (" " + ", ".join(flags)) if flags else ""
-    return "mu=%s c=%s q:%d->%d [%s]%s" % (
-        rat_str(s.mu), rat_str(s.c), s.q_before, s.q_after, s.contact_kind, tail,
-    )
+def _expansion_payload(result, w: OneForm | None) -> dict:
+    return {
+        "branches": [_branch_payload(b, w) for b in result.branches],
+        "notes": list(result.notes),
+    }
 
 
 def _branch_status(b) -> str:
-    if b.exact:
+    if b["exact"]:
         return "exact"
-    if b.truncated_at is None:
+    if b["truncated_at"] is None:
         return "truncated before the first term"
-    return "truncated at mu=%s" % rat_str(b.truncated_at)
+    return "truncated at mu=%s" % b["truncated_at"]
+
+
+_LEMMAS = (("l1", "L1"), ("l2", "L2"), ("l3", "L3"), ("corollary", "corollary"))
+
+
+def _lemma_payload(result) -> dict:
+    reports = [lemma_checks(tr) for tr in result.traces]
+    traces = []
+    for tr, rep in zip(result.traces, reports):
+        steps = []
+        for entry in rep.steps:
+            row = {key: getattr(entry, key)._asdict() for key, _label in _LEMMAS}
+            steps.append(dict(row, mu=rat_str(entry.mu)))
+        traces.append({"series": series_text(s.step for s in tr), "steps": steps})
+    return {"traces": traces, "ok": all(rep.ok for rep in reports)}
 
 
 def cmd_polygon(args) -> int:
@@ -198,32 +203,30 @@ def cmd_polygon(args) -> int:
         raise ValueError("--support requires --svg")
     if args.svg:
         if args.support:
-            mus = list(_rat_list_flag("--support", args.support))
+            mus = _rat_list_flag("--support", args.support)
         else:
             mus = [s.coslope for s in np.sides] or [Fraction(1)]
         emit_svg(np, args.svg, support_mus=mus, title="Newton polygon")
+    payload = _polygon_payload(w, np)
     if args.json:
-        _emit_json(_polygon_payload(w))
-        return 0
-    print("cloud points:", ", ".join(_pt_text(p) for p in np.cloud))
-    print("vertices:", ", ".join(_pt_text(v) for v in np.vertices))
-    if np.sides:
-        for s in np.sides:
-            phi = characteristic_poly(w, support(np, s.coslope))
-            print(
-                "side %s -- %s  co-slope %s  Phi(c) = %s%s"
-                % (
-                    _pt_text(s.start),
-                    _pt_text(s.end),
-                    rat_str(s.coslope),
-                    _char_poly_text(phi),
-                    "  (dicritical)" if phi.dicritical else "",
-                )
+        return _emit_json(payload, 0)
+    print("cloud points:", _pts_text(payload["cloud"]))
+    print("vertices:", _pts_text(payload["polygon"]["vertices"]))
+    for s in payload["polygon"]["sides"]:
+        print(
+            "side (%s, %s) -- (%s, %s)  co-slope %s  Phi(c) = %s%s"
+            % (
+                *s["start"],
+                *s["end"],
+                s["coslope"],
+                s["phi"],
+                "  (dicritical)" if s["dicritical"] else "",
             )
-    else:
+        )
+    if not payload["polygon"]["sides"]:
         print("sides: none")
-    print("y-order:", y_order(w))
-    print("multiplicity:", multiplicity(w))
+    print("y-order:", payload["y_order"])
+    print("multiplicity:", payload["multiplicity"])
     if args.svg:
         print("svg written to", args.svg)
     return 0
@@ -232,23 +235,23 @@ def cmd_polygon(args) -> int:
 def cmd_expand(args) -> int:
     w = _load_form(args)
     result = expand_branches(w, _limits(args))
+    payload = _expansion_payload(result, w if args.json else None)
     if args.json:
-        _emit_json(
-            {
-                "branches": [_branch_payload(b, w) for b in result.branches],
-                "notes": list(result.notes),
-            }
-        )
-        return 0
-    print("branches (%d):" % len(result.branches))
-    for i, b in enumerate(result.branches, 1):
-        print("  [%d] y = %s" % (i, series_text(b.steps)))
-        print("      r = %d (%s)" % (b.r, _branch_status(b)))
-        for s in b.steps:
-            print("      %s" % _step_text(s))
-    if result.notes:
+        return _emit_json(payload, 0)
+    print("branches (%d):" % len(payload["branches"]))
+    for i, b in enumerate(payload["branches"], 1):
+        print("  [%d] y = %s" % (i, b["series"]))
+        print("      r = %d (%s)" % (b["r"], _branch_status(b)))
+        for s in b["steps"]:
+            flags = [name for name in ("characteristic", "dicritical") if s[name]]
+            print(
+                "      mu=%s c=%s q:%d->%d [%s]%s"
+                % (s["mu"], s["c"], s["q_before"], s["q_after"], s["contact"],
+                   (" " + ", ".join(flags)) if flags else "")
+            )
+    if payload["notes"]:
         print("notes:")
-        for note in result.notes:
+        for note in payload["notes"]:
             print("  -", note)
     return 0
 
@@ -257,114 +260,82 @@ def cmd_verify(args) -> int:
     w = _load_form(args)
     result = expand_branches(w, _limits(args))
     report = verify_bound(w, result.branches)
+    payload = dict(
+        _expansion_payload(result, w if args.json else None),
+        max_r=report.max_r,
+        y_order=report.y_order,
+        multiplicity=report.multiplicity,
+        bound_ok=report.ok,
+    )
+    code = 0 if report.ok else 1
     if args.json:
-        _emit_json(
-            {
-                "branches": [_branch_payload(b, w) for b in result.branches],
-                "notes": list(result.notes),
-                "max_r": report.max_r,
-                "y_order": report.y_order,
-                "multiplicity": report.multiplicity,
-                "bound_ok": report.ok,
-            }
-        )
-        return 0 if report.ok else 1
-    for i, b in enumerate(result.branches, 1):
+        return _emit_json(payload, code)
+    for i, b in enumerate(payload["branches"], 1):
         print(
             "branch [%d] y = %s: r = %d (%s)"
-            % (i, series_text(b.steps), b.r, _branch_status(b))
+            % (i, b["series"], b["r"], _branch_status(b))
         )
-    print("max r =", report.max_r)
-    print("y-order =", report.y_order)
-    print("multiplicity =", report.multiplicity)
+    print("max r =", payload["max_r"])
+    print("y-order =", payload["y_order"])
+    print("multiplicity =", payload["multiplicity"])
     print(
         "bound max r <= y-order <= multiplicity:",
-        "PASS" if report.ok else "FAIL",
+        "PASS" if payload["bound_ok"] else "FAIL",
     )
-    return 0 if report.ok else 1
+    return code
 
 
 def cmd_check_lemmas(args) -> int:
     w = _load_form(args)
-    result = expand_branches(w, _limits(args))
-    reports = [lemma_checks(tr) for tr in result.traces]
-    counts = {"pass": 0, "fail": 0, "vacuous": 0}
-    payload_traces = []
-    for tr, rep in zip(result.traces, reports):
-        steps_payload = []
-        for entry in rep.steps:
-            row = {"mu": rat_str(entry.mu)}
-            for name, check in (
-                ("l1", entry.l1), ("l2", entry.l2),
-                ("l3", entry.l3), ("corollary", entry.corollary),
-            ):
-                counts[check.status] += 1
-                row[name] = {"status": check.status, "detail": check.detail}
-            steps_payload.append(row)
-        payload_traces.append(
-            {"series": series_text(s.step for s in tr), "steps": steps_payload}
-        )
-    ok = all(rep.ok for rep in reports)
+    payload = _lemma_payload(expand_branches(w, _limits(args)))
+    code = 0 if payload["ok"] else 1
     if args.json:
-        _emit_json({"traces": payload_traces, "ok": ok})
-        return 0 if ok else 1
-    for tr, rep in zip(result.traces, reports):
-        print("path y ~ %s" % series_text(s.step for s in tr))
-        for entry in rep.steps:
+        return _emit_json(payload, code)
+    counts = Counter()
+    for tr in payload["traces"]:
+        print("path y ~ %s" % tr["series"])
+        for row in tr["steps"]:
             cells = []
-            for name, check in (
-                ("L1", entry.l1), ("L2", entry.l2),
-                ("L3", entry.l3), ("corollary", entry.corollary),
-            ):
-                cell = "%s=%s" % (name, check.status)
-                if check.status == "fail":
-                    cell += " (%s)" % check.detail
+            for key, label in _LEMMAS:
+                check = row[key]
+                counts[check["status"]] += 1
+                cell = "%s=%s" % (label, check["status"])
+                if check["status"] == "fail":
+                    cell += " (%s)" % check["detail"]
                 cells.append(cell)
-            print("  mu=%s: %s" % (rat_str(entry.mu), "  ".join(cells)))
-    print(
-        "checks: %d passed, %d failed, %d vacuous"
-        % (counts["pass"], counts["fail"], counts["vacuous"])
-    )
-    print("lemma verdict:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+            print("  mu=%s: %s" % (row["mu"], "  ".join(cells)))
+    print("checks: %(pass)d passed, %(fail)d failed, %(vacuous)d vacuous" % counts)
+    print("lemma verdict:", "PASS" if payload["ok"] else "FAIL")
+    return code
 
 
 def cmd_gen(args) -> int:
     if args.signature is not None:
-        signature = tuple(
-            Fraction(c.strip()) for c in args.signature.split(",") if c.strip()
-        )
+        signature = _rat_list_flag("--signature", args.signature)
     else:
         signature = STANDARD_SIGNATURES[args.seed % len(STANDARD_SIGNATURES)]
     case = gen_case(signature, args.seed)
+    payload = {
+        "signature": [rat_str(e) for e in case.signature],
+        "seed": case.seed,
+        "a": poly_to_text(case.form.a),
+        "b": poly_to_text(case.form.b),
+        "curve": poly_to_text(case.curve),
+        "branch": _branch_payload(case.branch, case.form if args.json else None),
+        "r": case.r,
+        "extra_line": None if case.extra_line is None else rat_str(case.extra_line),
+    }
     if args.json:
-        _emit_json(
-            {
-                "signature": [rat_str(e) for e in case.signature],
-                "seed": case.seed,
-                "a": poly_to_text(case.form.a),
-                "b": poly_to_text(case.form.b),
-                "curve": poly_to_text(case.curve),
-                "branch": _branch_payload(case.branch, case.form),
-                "r": case.r,
-                "extra_line": None
-                if case.extra_line is None
-                else rat_str(case.extra_line),
-            }
-        )
-        return 0
-    print(
-        "signature:",
-        ", ".join(rat_str(e) for e in case.signature) if case.signature else "(none)",
-    )
-    print("seed:", case.seed)
-    print("planted branch: y =", series_text(case.branch.steps))
-    print("r =", case.r)
-    if case.extra_line is not None:
-        print("extra smooth factor: y = %s*x" % rat_str(case.extra_line))
-    print("curve f =", poly_to_text(case.curve))
-    print("a =", poly_to_text(case.form.a))
-    print("b =", poly_to_text(case.form.b))
+        return _emit_json(payload, 0)
+    print("signature:", ", ".join(payload["signature"]) or "(none)")
+    print("seed:", payload["seed"])
+    print("planted branch: y =", payload["branch"]["series"])
+    print("r =", payload["r"])
+    if payload["extra_line"] is not None:
+        print("extra smooth factor: y = %s*x" % payload["extra_line"])
+    print("curve f =", payload["curve"])
+    print("a =", payload["a"])
+    print("b =", payload["b"])
     return 0
 
 
@@ -384,26 +355,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="comma-separated co-slopes of support lines to draw")
     sp.set_defaults(func=cmd_polygon)
 
-    sp = sub.add_parser("expand", help="expand the invariant branches term by term")
-    _add_form_args(sp)
-    _add_limit_args(sp)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_expand)
-
-    sp = sub.add_parser("verify", help="check max r <= y-order <= multiplicity")
-    _add_form_args(sp)
-    _add_limit_args(sp)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser(
-        "check-lemmas",
-        help="machine-check the per-step polygon facts along every expansion path",
-    )
-    _add_form_args(sp)
-    _add_limit_args(sp)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_check_lemmas)
+    for name, func, help_text in (
+        ("expand", cmd_expand, "expand the invariant branches term by term"),
+        ("verify", cmd_verify, "check max r <= y-order <= multiplicity"),
+        ("check-lemmas", cmd_check_lemmas,
+         "machine-check the per-step polygon facts along every expansion path"),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        _add_form_args(sp)
+        _add_limit_args(sp)
+        sp.add_argument("--json", action="store_true")
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("gen", help="generate a form with a planted branch")
     sp.add_argument("--seed", type=int, default=0)
@@ -443,10 +405,7 @@ def run(argv=None) -> int:
     args = build_arg_parser().parse_args(_normalize_argv(argv))
     try:
         return args.func(args)
-    except (ParseError, FormError, MalformedFormError) as exc:
-        print("error:", exc, file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # parse, form and flag errors included
         print("error:", exc, file=sys.stderr)
         return 2
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..algebra import OneForm, PuiseuxPoly, rat_str
+from ..algebra import OneForm, PuiseuxPoly, rat_str, signed_sum
 
 
 class ParseError(ValueError):
@@ -147,22 +147,14 @@ def parse_form(a_text: str, b_text: str) -> OneForm:
 
 def poly_to_text(p: PuiseuxPoly) -> str:
     """Deterministic rendering; ``parse_poly`` inverts it."""
-    if p.is_zero():
-        return "0"
-    chunks = []
+    terms = []
     for (ex, ey), coeff in p.items():
         if ex.denominator != 1:
             raise ValueError("cannot render fractional exponent %s" % rat_str(ex))
         parts = []
-        if abs(coeff) != 1 or (ex == 0 and ey == 0):
-            parts.append(rat_str(abs(coeff)))
         if ex != 0:
             parts.append("x" if ex == 1 else "x^%d" % ex)
         if ey != 0:
             parts.append("y" if ey == 1 else "y^%d" % ey)
-        body = "*".join(parts)
-        if not chunks:
-            chunks.append(body if coeff > 0 else "-" + body)
-        else:
-            chunks.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(chunks)
+        terms.append((coeff, "*".join(parts)))
+    return signed_sum(terms)

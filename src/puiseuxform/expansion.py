@@ -32,6 +32,7 @@ from .algebra import (
     PuiseuxPoly,
     RatLike,
     rat_str,
+    signed_sum,
     transform_form,
 )
 from .polygon import (
@@ -97,10 +98,10 @@ class Limits:
 
 
 class TraceStep(NamedTuple):
-    form_before: OneForm
-    contact: SupportContact
+    contact: SupportContact  # the support contact the step was taken on
     step: BranchStep
     form_after: OneForm
+    polygon_after: NewtonPolygon  # polygon_of(form_after), built by the search
 
 
 @dataclass
@@ -176,6 +177,8 @@ def rational_roots(coeffs) -> tuple[Fraction, ...]:
 
 @dataclass
 class StepEnumeration:
+    """The candidate steps at one search node, and why others were dropped."""
+
     steps: list[BranchStep]
     pruned: list[str]  # candidates cut by limits
     dead: list[str]  # sides whose characteristic polynomial has no rational root
@@ -187,14 +190,27 @@ def _mu_admissible(mu: Fraction, mu_min: Fraction, strict: bool) -> bool:
     return mu > mu_min if strict else mu >= mu_min
 
 
-def _enumerate_steps(
+def admissible_steps(
     w: OneForm,
-    q_before: int,
-    mu_min: Fraction,
-    limits: Limits,
-    strict: bool,
+    q_before: int = 1,
+    mu_min: RatLike = 1,
+    limits: Limits | None = None,
+    strict: bool = False,
     np: NewtonPolygon | None = None,
 ) -> StepEnumeration:
+    """Candidate steps ``(mu, c)`` at the current stage, ordered by (mu, c).
+
+    Sides of co-slope >= ``mu_min`` (strictly greater with ``strict``)
+    contribute the rational roots of their characteristic polynomial, or
+    sampled coefficients when dicritical; eligible vertices contribute
+    dicritical steps.  Steps beyond the limits are pruned.  The returned
+    enumeration also notes the pruned candidates and the rational dead
+    ends.  ``np`` is the polygon of ``w`` when the caller already holds it.
+    """
+    mu_min = Fraction(mu_min)
+    if mu_min < 1:
+        raise ValueError("mu_min must be >= 1")
+    limits = limits or Limits()
     np = np if np is not None else polygon_of(w)
     cands: list[tuple[Fraction, Fraction, str, bool]] = []
     dead: list[str] = []
@@ -264,48 +280,15 @@ def _enumerate_steps(
     return StepEnumeration(steps, pruned, dead)
 
 
-def admissible_steps(
-    w: OneForm,
-    q_before: int = 1,
-    mu_min: RatLike = 1,
-    limits: Limits | None = None,
-    strict: bool = False,
-) -> list[BranchStep]:
-    """Candidate steps ``(mu, c)`` at the current stage, ordered by (mu, c).
-
-    Sides of co-slope >= ``mu_min`` (strictly greater with ``strict``)
-    contribute the rational roots of their characteristic polynomial, or
-    sampled coefficients when dicritical; eligible vertices contribute
-    dicritical steps.  Steps beyond the limits are pruned.
-    """
-    mu_min = Fraction(mu_min)
-    if mu_min < 1:
-        raise ValueError("mu_min must be >= 1")
-    return _enumerate_steps(w, q_before, mu_min, limits or Limits(), strict).steps
-
-
-def expand_step(w: OneForm, step: BranchStep) -> OneForm:
-    """Apply ``y -> c x^mu + y``; the c = 0 placeholder leaves w unchanged."""
-    return transform_form(w, step.c, step.mu)
-
-
 def series_text(steps) -> str:
     """Human-readable series for a step sequence, e.g. ``x + 2*x^(3/2)``."""
-    parts = []
-    for s in steps:
-        if s.c == 0:
-            continue
-        mag = abs(s.c)
-        body = "x^(%s)" % rat_str(s.mu) if s.mu.denominator > 1 else (
-            "x" if s.mu == 1 else "x^%s" % rat_str(s.mu)
-        )
-        if mag != 1:
-            body = "%s*%s" % (rat_str(mag), body)
-        if not parts:
-            parts.append(body if s.c > 0 else "-" + body)
-        else:
-            parts.append((" + " if s.c > 0 else " - ") + body)
-    return "".join(parts) if parts else "0"
+    return signed_sum((s.c, _x_power(s.mu)) for s in steps if s.c != 0)
+
+
+def _x_power(mu: Fraction) -> str:
+    if mu.denominator > 1:
+        return "x^(%s)" % rat_str(mu)
+    return "x" if mu == 1 else "x^%s" % rat_str(mu)
 
 
 def _a_vanishes_on_axis(w: OneForm) -> bool:
@@ -356,12 +339,16 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
         truncated_at = None if exact else (steps[-1].mu if steps else None)
         result.branches.append(PuiseuxBranch(tuple(steps), r, truncated_at, exact))
 
-    # stack entries: (form, steps, trace, q, mu_min, strict)
-    stack = [(w, (), (), 1, Fraction(1), False)]
+    # stack entries: (form, steps, trace, q, mu_min, strict, contact); contact
+    # is where the last step touched the parent polygon (None at the root).
+    # The step's trace entry is made on pop, with the polygon built there.
+    stack = [(w, (), (), 1, Fraction(1), False, None)]
     while stack and not capped:
-        form, steps, trace, q, mu_min, strict = stack.pop()
+        form, steps, trace, q, mu_min, strict, contact = stack.pop()
         np = polygon_of(form)
-        enum = _enumerate_steps(form, q, mu_min, limits, strict, np)
+        if contact is not None:
+            trace += (TraceStep(contact, steps[-1], form, np),)
+        enum = admissible_steps(form, q, mu_min, limits, strict, np)
         prefix = series_text(steps)
         for note in enum.dead + enum.pruned:
             result.notes.append("[y ~ %s] %s" % (prefix, note))
@@ -381,17 +368,11 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
             continue
         for child in reversed(enum.steps):
             contact = support(np, child.mu)
-            form2 = expand_step(form, child)
-            entry = TraceStep(form, contact, child, form2)
+            form2 = transform_form(form, child.c, child.mu)
             stack.append(
-                (form2, steps + (child,), trace + (entry,), child.q_after, child.mu, True)
+                (form2, steps + (child,), trace, child.q_after, child.mu, True, contact)
             )
     return result
-
-
-def count_puiseux_exponents(branch: PuiseuxBranch) -> int:
-    """Number of characteristic steps (steps where the ramification grows)."""
-    return sum(1 for s in branch.steps if s.characteristic)
 
 
 def invariance_residual(w: OneForm, branch: PuiseuxBranch):
@@ -484,7 +465,7 @@ def lemma_checks(trace) -> LemmaReport:
         step = entry.step
         P = entry.contact.highest
         tau = entry.contact.tau
-        np_after = polygon_of(entry.form_after)
+        np_after = entry.polygon_after
         mu_next = step.mu + Fraction(1, m_hat)
 
         boundary = [p for p in np_after.cloud if p.j == 0]
@@ -514,8 +495,8 @@ def lemma_checks(trace) -> LemmaReport:
             cloud_set = set(np_after.cloud)
             l3 = _outcome(
                 P in cloud_set and survivor in cloud_set,
-                "expected %s and %s in transformed cloud"
-                % (_point_text(P), _point_text(survivor)),
+                "expected (%s, %d) and (%s, %d) in transformed cloud"
+                % (rat_str(P.i), P.j, rat_str(survivor.i), survivor.j),
             )
             nxt = support(np_after, mu_next)
             corollary = _outcome(
@@ -528,10 +509,6 @@ def lemma_checks(trace) -> LemmaReport:
 
         entries.append(StepLemmaReport(step.mu, l1, l2, l3, corollary))
     return LemmaReport(entries)
-
-
-def _point_text(p: CloudPoint) -> str:
-    return "(%s, %d)" % (rat_str(p.i), p.j)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ row per criterion.
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -269,7 +268,7 @@ def test_criterion_7_y_order_bounded_by_multiplicity(capsys):
         )
 
 
-def test_criterion_8_deterministic_json(capsys):
+def test_criterion_8_deterministic_json(capsys, child_env):
     inputs = [
         ["verify", "--a=-3*x^2", "--b=2*y", "--json"],
         ["verify", "--a=y", "--b=-x", "--json"],
@@ -286,7 +285,7 @@ def test_criterion_8_deterministic_json(capsys):
     for argv in inputs:
         outputs = set()
         for hashseed in ("0", "4242"):
-            env = dict(os.environ, PYTHONHASHSEED=hashseed)
+            env = dict(child_env, PYTHONHASHSEED=hashseed)
             proc = subprocess.run(
                 [sys.executable, "-m", "puiseuxform", *argv],
                 capture_output=True,

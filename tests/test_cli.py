@@ -120,6 +120,11 @@ def test_gen_empty_signature(capsys):
     assert case["extra_line"] is not None
 
 
+def test_gen_bad_signature_exits_2(capsys):
+    assert run(["gen", "--signature", "3/0"]) == 2
+    assert capsys.readouterr().err == "error: --signature: Fraction(3, 0)\n"
+
+
 def test_gen_default_signature_cycles_with_seed(capsys):
     assert run(["gen", "--seed", "1", "--json"]) == 0
     first = json.loads(out_of(capsys))
@@ -204,11 +209,12 @@ def test_svg_custom_support_lines(tmp_path, capsys):
     assert [ln.get("data-mu") for ln in supports] == ["1", "3/2", "2"]
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "puiseuxform", "verify", "--a=-3*x^2", "--b=2*y"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -11,7 +11,6 @@ from puiseuxform import (
     PuiseuxPoly,
     admissible_steps,
     characteristic_poly,
-    count_puiseux_exponents,
     differential,
     expand_branches,
     invariance_residual,
@@ -69,7 +68,7 @@ def test_characteristic_poly_dicritical_side():
 
 
 def test_admissible_steps_on_cusp():
-    steps = admissible_steps(CUSP)
+    steps = admissible_steps(CUSP).steps
     assert [(s.mu, s.c) for s in steps] == [
         (Fraction(3, 2), Fraction(-1)),
         (Fraction(3, 2), Fraction(1)),
@@ -82,7 +81,7 @@ def test_admissible_steps_on_cusp():
 
 
 def test_admissible_steps_vertex_dicritical():
-    steps = admissible_steps(VERTEX_CHAR)
+    steps = admissible_steps(VERTEX_CHAR).steps
     assert len(steps) == 1
     s = steps[0]
     assert (s.mu, s.c) == (Fraction(3, 2), Fraction(1))
@@ -91,9 +90,14 @@ def test_admissible_steps_vertex_dicritical():
 
 
 def test_admissible_steps_respects_mu_minimum():
-    assert admissible_steps(CUSP, mu_min=Fraction(3, 2)) != []
-    assert admissible_steps(CUSP, mu_min=Fraction(3, 2), strict=True) == []
-    assert admissible_steps(CUSP, mu_min=2) == []
+    assert admissible_steps(CUSP, mu_min=Fraction(3, 2)).steps != []
+    assert admissible_steps(CUSP, mu_min=Fraction(3, 2), strict=True).steps == []
+    assert admissible_steps(CUSP, mu_min=2).steps == []
+
+
+def test_admissible_steps_rejects_mu_min_below_one():
+    with pytest.raises(ValueError):
+        admissible_steps(CUSP, mu_min=Fraction(1, 2))
 
 
 def test_cusp_expansion():
@@ -101,7 +105,7 @@ def test_cusp_expansion():
     assert [series_text(b.steps) for b in res.branches] == ["-x^(3/2)", "x^(3/2)"]
     for b in res.branches:
         assert b.exact
-        assert b.r == 1 == count_puiseux_exponents(b)
+        assert b.r == 1 == sum(s.characteristic for s in b.steps)
         assert b.truncated_at is None
         assert invariance_residual(CUSP, b) is INFINITY
     assert res.notes == []
@@ -318,5 +322,5 @@ def test_exact_forms_are_never_dicritical(f):
     w = differential(f)
     if w.a.is_zero() and w.b.is_zero():
         return
-    for s in admissible_steps(w):
+    for s in admissible_steps(w).steps:
         assert not s.dicritical
