@@ -4,7 +4,9 @@ Every argv below runs through in-process ``run()``.  The sha256 of its
 exit code, stdout and stderr must equal the digest recorded for that argv
 in ``cli_golden.json``.  The inputs are the README fixtures, a few error
 paths and the 24 small planted forms (``STANDARD_SIGNATURES[:4]`` x seeds
-0..5), each through every command in text and ``--json`` mode.
+0..5), each through every command in text and ``--json`` mode.  Two
+limit-truncated expansions pin finite invariance residuals through
+``expand`` and ``verify``.
 
 After an intended output change, record the digests again with
 ``python tests/test_cli_golden.py`` (``src`` on the path) and review the
@@ -16,6 +18,7 @@ import io
 import json
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 from puiseuxform.algebra import rat_str
@@ -54,6 +57,16 @@ def golden_argvs() -> dict[str, list[str]]:
         [cmd, "--a=" + a, "--b=" + b] for a, b in forms for cmd in FORM_COMMANDS
     ]
     argvs += [["gen", "--signature=" + sig, "--seed=%d" % seed] for sig, seed in gens]
+    tower = gen_case((Fraction(3, 2), Fraction(7, 4)), 0).form
+    truncated = [
+        ("-3*x^2", "2*y", "--max-exp=1"),
+        (poly_to_text(tower.a), poly_to_text(tower.b), "--max-ram=2"),
+    ]
+    argvs += [
+        [cmd, "--a=" + a, "--b=" + b, limit]
+        for a, b, limit in truncated
+        for cmd in ("expand", "verify")
+    ]
     argvs = [argv + mode for argv in argvs for mode in ([], ["--json"])] + ERROR_ARGVS
     return {shlex.join(argv): argv for argv in argvs}
 
