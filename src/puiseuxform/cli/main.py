@@ -87,6 +87,9 @@ def _limits(args) -> Limits:
     samples = _rat_list_flag("--dicritical-samples", args.dicritical_samples)
     if not samples:
         raise ValueError("--dicritical-samples must list at least one coefficient")
+    for flag, value in (("--max-ram", args.max_ram), ("--max-branches", args.max_branches)):
+        if value < 1:
+            raise ValueError("%s must be at least 1" % flag)
     return Limits(
         max_exponent=_rat_flag("--max-exp", args.max_exp),
         max_ramification=args.max_ram,
@@ -130,7 +133,7 @@ def _polygon_payload(w: OneForm, np) -> dict:
             "vertices": [_pt(v) for v in np.vertices],
             "sides": sides,
         },
-        "y_order": y_order(w),
+        "y_order": y_order(w, np),
         "multiplicity": multiplicity(w),
     }
 
@@ -147,26 +150,20 @@ def _step_payload(s) -> dict:
     }
 
 
-def _branch_payload(b, w: OneForm | None) -> dict:
-    """A branch's payload; with ``w`` it includes the invariance residual.
-
-    The residual is the costliest layer and text output does not show it,
-    so commands pass ``w`` only for ``--json``.
-    """
-    payload = {
+def _branch_payload(b, w: OneForm) -> dict:
+    """A branch's payload, with its invariance residual for the form ``w``."""
+    res = invariance_residual(w, b)
+    return {
         "series": series_text(b.steps),
         "steps": [_step_payload(s) for s in b.steps],
         "r": b.r,
         "exact": b.exact,
         "truncated_at": None if b.truncated_at is None else rat_str(b.truncated_at),
+        "residual": "infinity" if res is INFINITY else rat_str(res),
     }
-    if w is not None:
-        res = invariance_residual(w, b)
-        payload["residual"] = "infinity" if res is INFINITY else rat_str(res)
-    return payload
 
 
-def _expansion_payload(result, w: OneForm | None) -> dict:
+def _expansion_payload(result, w: OneForm) -> dict:
     return {
         "branches": [_branch_payload(b, w) for b in result.branches],
         "notes": list(result.notes),
@@ -235,7 +232,7 @@ def cmd_polygon(args) -> int:
 def cmd_expand(args) -> int:
     w = _load_form(args)
     result = expand_branches(w, _limits(args))
-    payload = _expansion_payload(result, w if args.json else None)
+    payload = _expansion_payload(result, w)
     if args.json:
         return _emit_json(payload, 0)
     print("branches (%d):" % len(payload["branches"]))
@@ -261,7 +258,7 @@ def cmd_verify(args) -> int:
     result = expand_branches(w, _limits(args))
     report = verify_bound(w, result.branches)
     payload = dict(
-        _expansion_payload(result, w if args.json else None),
+        _expansion_payload(result, w),
         max_r=report.max_r,
         y_order=report.y_order,
         multiplicity=report.multiplicity,
@@ -321,7 +318,7 @@ def cmd_gen(args) -> int:
         "a": poly_to_text(case.form.a),
         "b": poly_to_text(case.form.b),
         "curve": poly_to_text(case.curve),
-        "branch": _branch_payload(case.branch, case.form if args.json else None),
+        "branch": _branch_payload(case.branch, case.form),
         "r": case.r,
         "extra_line": None if case.extra_line is None else rat_str(case.extra_line),
     }

@@ -29,7 +29,6 @@ from typing import NamedTuple
 from .algebra import (
     INFINITY,
     OneForm,
-    PuiseuxPoly,
     RatLike,
     rat_str,
     signed_sum,
@@ -291,9 +290,9 @@ def _x_power(mu: Fraction) -> str:
     return "x" if mu == 1 else "x^%s" % rat_str(mu)
 
 
-def _a_vanishes_on_axis(w: OneForm) -> bool:
-    # a(x, 0) == 0: exact invariance of the zero continuation
-    return all(ey != 0 for (_ex, ey) in w.a.terms)
+def _axis_order(w: OneForm):
+    # ord_x a(x, 0); INFINITY means the zero continuation is exactly invariant
+    return min((ex for (ex, ey) in w.a.terms if ey == 0), default=INFINITY)
 
 
 def _validate_expandable(w: OneForm) -> None:
@@ -352,7 +351,7 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
         prefix = series_text(steps)
         for note in enum.dead + enum.pruned:
             result.notes.append("[y ~ %s] %s" % (prefix, note))
-        exact_here = _a_vanishes_on_axis(form)
+        exact_here = _axis_order(form) is INFINITY
         if exact_here and not any(s.dicritical for s in enum.steps):
             emit(steps, exact=True)
         if not enum.steps:
@@ -378,29 +377,13 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
 def invariance_residual(w: OneForm, branch: PuiseuxBranch):
     """x-valuation of ``a(x, Gamma) + b(x, Gamma) * Gamma'(x)``.
 
+    Replays the branch's steps through ``transform_form``: after
+    ``y -> Gamma + y`` the dx coefficient at ``y = 0`` is exactly that sum.
     Returns ``INFINITY`` when the branch is exactly invariant.
     """
-    gamma = PuiseuxPoly.zero()
-    dgamma = PuiseuxPoly.zero()
     for s in branch.steps:
-        if s.c == 0:
-            continue
-        gamma = gamma + PuiseuxPoly.monomial(s.c, s.mu)
-        dgamma = dgamma + PuiseuxPoly.monomial(s.c * s.mu, s.mu - 1)
-    total = _substitute_y(w.a, gamma) + _substitute_y(w.b, gamma) * dgamma
-    if total.is_zero():
-        return INFINITY
-    return min(ex for (ex, _ey) in total.terms)
-
-
-def _substitute_y(p: PuiseuxPoly, gamma: PuiseuxPoly) -> PuiseuxPoly:
-    powers = {0: PuiseuxPoly.const(1)}
-    acc = PuiseuxPoly.zero()
-    for (ex, ey), coeff in p.items():
-        if ey not in powers:
-            powers[ey] = gamma**ey
-        acc = acc + PuiseuxPoly.monomial(coeff, ex) * powers[ey]
-    return acc
+        w = transform_form(w, s.c, s.mu)
+    return _axis_order(w)
 
 
 class CheckOutcome(NamedTuple):
@@ -478,9 +461,11 @@ def lemma_checks(trace) -> LemmaReport:
         else:
             l1 = CheckOutcome("vacuous", "no j=0 cloud point")
 
-        same_line = support(np_after, step.mu)
-        if same_line.kind == "side":
-            nxt = support(np_after, mu_next)
+        s = step.q_after // step.q_before
+        l3_applies = s > 1 and P.j > 1 and step.c != 0
+        on_side = support(np_after, step.mu).kind == "side"
+        nxt = support(np_after, mu_next) if on_side or l3_applies else None
+        if on_side:
             l2 = _outcome(
                 nxt.highest.j < P.j,
                 "next contact height %d vs previous %d" % (nxt.highest.j, P.j),
@@ -488,8 +473,7 @@ def lemma_checks(trace) -> LemmaReport:
         else:
             l2 = CheckOutcome("vacuous", "used line now meets a vertex")
 
-        s = step.q_after // step.q_before
-        if s > 1 and P.j > 1 and step.c != 0:
+        if l3_applies:
             t_height = max(1, P.j - (s - 1))
             survivor = CloudPoint(P.i + (P.j - t_height) * step.mu, t_height)
             cloud_set = set(np_after.cloud)
@@ -498,7 +482,6 @@ def lemma_checks(trace) -> LemmaReport:
                 "expected (%s, %d) and (%s, %d) in transformed cloud"
                 % (rat_str(P.i), P.j, rat_str(survivor.i), survivor.j),
             )
-            nxt = support(np_after, mu_next)
             corollary = _outcome(
                 nxt.highest.j <= t_height,
                 "next contact height %d vs bound %d" % (nxt.highest.j, t_height),

@@ -14,6 +14,8 @@ other way around, so agreement is meaningful:
   the count r can be tested against a known answer.
 * ``brute_hull`` finds polygon vertices by brute-force minimisation over
   a finite set of probe co-slopes instead of a chain algorithm.
+* ``substituted_residual`` computes a branch's invariance residual by
+  substituting the series into the form, not by replaying its shifts.
 
 Nothing in this module calls the polygon hull or the branch search.
 """
@@ -25,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import OneForm, PuiseuxPoly, differential
+from .algebra import INFINITY, OneForm, PuiseuxPoly, differential
 from .expansion import BranchStep, PuiseuxBranch
 from .polygon import CloudPoint
 
@@ -239,3 +241,31 @@ def brute_hull(points) -> tuple[tuple[CloudPoint, ...], tuple[Fraction, ...]]:
         Fraction(v2.i - v1.i, v1.j - v2.j) for v1, v2 in zip(ordered, ordered[1:])
     )
     return ordered, coslopes
+
+
+def substituted_residual(w: OneForm, branch: PuiseuxBranch):
+    """x-valuation of ``a(x, Gamma) + b(x, Gamma) * Gamma'(x)``.
+
+    Returns ``INFINITY`` when the branch is exactly invariant.
+    """
+    gamma = PuiseuxPoly.zero()
+    dgamma = PuiseuxPoly.zero()
+    for s in branch.steps:
+        if s.c == 0:
+            continue
+        gamma = gamma + PuiseuxPoly.monomial(s.c, s.mu)
+        dgamma = dgamma + PuiseuxPoly.monomial(s.c * s.mu, s.mu - 1)
+    total = _substitute_y(w.a, gamma) + _substitute_y(w.b, gamma) * dgamma
+    if total.is_zero():
+        return INFINITY
+    return min(ex for (ex, _ey) in total.terms)
+
+
+def _substitute_y(p: PuiseuxPoly, gamma: PuiseuxPoly) -> PuiseuxPoly:
+    powers = {0: PuiseuxPoly.const(1)}
+    acc = PuiseuxPoly.zero()
+    for (ex, ey), coeff in p.items():
+        if ey not in powers:
+            powers[ey] = gamma**ey
+        acc = acc + PuiseuxPoly.monomial(coeff, ex) * powers[ey]
+    return acc

@@ -130,9 +130,13 @@ def polygon_of(w: OneForm) -> NewtonPolygon:
     return newton_polygon(cloud(w))
 
 
-def y_order(w: OneForm) -> int:
-    """Ordinate of the highest contact point of the co-slope-1 support line."""
-    return support(polygon_of(w), Fraction(1)).highest.j
+def y_order(w: OneForm, np: NewtonPolygon | None = None) -> int:
+    """Ordinate of the highest contact point of the co-slope-1 support line.
+
+    ``np`` is the polygon of ``w`` when the caller already holds it.
+    """
+    np = np if np is not None else polygon_of(w)
+    return support(np, Fraction(1)).highest.j
 
 
 def multiplicity(w: OneForm) -> int:

@@ -165,6 +165,15 @@ def test_bad_limit_value_exits_2(capsys):
     assert "--dicritical-samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--max-ram", "--max-branches"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_limit_below_one_exits_2(capsys, flag, value):
+    assert run(["verify", "--a", "-3*x^2", "--b", "2*y", flag, value, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s must be at least 1\n" % flag
+
+
 def test_support_requires_svg(capsys, tmp_path):
     assert run(["polygon", "--a", "-3*x^2", "--b", "2*y", "--support", "2"]) == 2
     assert "--support requires --svg" in capsys.readouterr().err

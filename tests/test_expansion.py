@@ -324,3 +324,20 @@ def test_exact_forms_are_never_dicritical(f):
         return
     for s in admissible_steps(w).steps:
         assert not s.dicritical
+
+
+def test_replayed_residual_matches_substitution():
+    # limit-truncated branches are the only source of finite residuals here
+    from puiseuxform import STANDARD_SIGNATURES, gen_case
+    from puiseuxform.oracle import substituted_residual
+
+    checked = truncated = 0
+    for limits in (Limits(max_ramification=2), Limits(max_exponent=Fraction(3, 2))):
+        for sig in STANDARD_SIGNATURES:
+            for seed in range(4):
+                w = gen_case(sig, seed).form
+                for b in expand_branches(w, limits).branches:
+                    assert invariance_residual(w, b) == substituted_residual(w, b)
+                    checked += 1
+                    truncated += not b.exact
+    assert (checked, truncated) == (92, 58)

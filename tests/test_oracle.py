@@ -14,10 +14,10 @@ from puiseuxform import (
     eval_ramified,
     expand_branches,
     gen_case,
-    invariance_residual,
     newton_polygon,
     order,
 )
+from puiseuxform.oracle import substituted_residual
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
@@ -108,7 +108,7 @@ def test_gen_case_plants_the_signature():
     assert case.r == 2
     assert case.branch.exact
     # the planted branch is exactly invariant for the generated form
-    assert invariance_residual(case.form, case.branch) is INFINITY
+    assert substituted_residual(case.form, case.branch) is INFINITY
 
 
 def test_gen_case_smooth_needs_extra_line():
@@ -117,7 +117,7 @@ def test_gen_case_smooth_needs_extra_line():
     lead = [s.c for s in case.branch.steps if s.mu == 1]
     if lead:
         assert case.extra_line != lead[0]
-    assert invariance_residual(case.form, case.branch) is INFINITY
+    assert substituted_residual(case.form, case.branch) is INFINITY
 
 
 def test_gen_case_ramified_has_no_extra_line():
