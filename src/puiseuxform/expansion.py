@@ -379,11 +379,13 @@ def invariance_residual(w: OneForm, branch: PuiseuxBranch):
 
     Replays the branch's steps through ``transform_form``: after
     ``y -> Gamma + y`` the dx coefficient at ``y = 0`` is exactly that sum.
+    Every step must have ``mu >= 1``, as ``transform_form`` requires.
     Returns ``INFINITY`` when the branch is exactly invariant.
     """
+    form = w
     for s in branch.steps:
-        w = transform_form(w, s.c, s.mu)
-    return _axis_order(w)
+        form = transform_form(form, s.c, s.mu)
+    return _axis_order(form)
 
 
 class CheckOutcome(NamedTuple):

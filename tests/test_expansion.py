@@ -327,7 +327,8 @@ def test_exact_forms_are_never_dicritical(f):
 
 
 def test_replayed_residual_matches_substitution():
-    # limit-truncated branches are the only source of finite residuals here
+    # limit-truncated branches are the only source of finite residuals here;
+    # the CLI relies on a searched branch being exact iff its residual is infinite
     from puiseuxform import STANDARD_SIGNATURES, gen_case
     from puiseuxform.oracle import substituted_residual
 
@@ -337,7 +338,9 @@ def test_replayed_residual_matches_substitution():
             for seed in range(4):
                 w = gen_case(sig, seed).form
                 for b in expand_branches(w, limits).branches:
-                    assert invariance_residual(w, b) == substituted_residual(w, b)
+                    res = invariance_residual(w, b)
+                    assert res == substituted_residual(w, b)
+                    assert b.exact == (res is INFINITY)
                     checked += 1
                     truncated += not b.exact
     assert (checked, truncated) == (92, 58)
