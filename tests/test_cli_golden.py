@@ -4,8 +4,10 @@ Every argv below runs through in-process ``run()``.  The sha256 of its
 exit code, stdout and stderr must equal the digest recorded for that argv
 in ``cli_golden.json``.  The inputs are the README fixtures, a few error
 paths and the 24 small planted forms (``STANDARD_SIGNATURES[:4]`` x seeds
-0..5), each through every command in text and ``--json`` mode.  Two
-limit-truncated expansions pin finite invariance residuals through
+0..5), each through every command in text and ``--json`` mode.  ``gen``
+is pinned for those 24 cases, for ``3/2,7/4 --seed=4``, and for the
+ramified towers ``STANDARD_SIGNATURES[4:]`` (m = 4, 6, 8) x seeds 0..1.
+Two limit-truncated expansions pin finite invariance residuals through
 ``expand`` and ``verify``.
 
 After an intended output change, record the digests again with
@@ -53,6 +55,8 @@ def golden_argvs() -> dict[str, list[str]]:
             case = gen_case(sig, seed)
             forms.append((poly_to_text(case.form.a), poly_to_text(case.form.b)))
             gens.append((",".join(rat_str(e) for e in sig), seed))
+    for sig in STANDARD_SIGNATURES[4:]:
+        gens += [(",".join(rat_str(e) for e in sig), seed) for seed in range(2)]
     argvs = [
         [cmd, "--a=" + a, "--b=" + b] for a, b in forms for cmd in FORM_COMMANDS
     ]
