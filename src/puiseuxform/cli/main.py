@@ -88,11 +88,16 @@ def _limits(args) -> Limits:
     samples = _rat_list_flag("--dicritical-samples", args.dicritical_samples)
     if not samples:
         raise ValueError("--dicritical-samples must list at least one coefficient")
+    if len(set(samples)) != len(samples):
+        raise ValueError("--dicritical-samples must not repeat a coefficient")
     for flag, value in (("--max-ram", args.max_ram), ("--max-branches", args.max_branches)):
         if value < 1:
             raise ValueError("%s must be at least 1" % flag)
+    max_exp = _rat_flag("--max-exp", args.max_exp)
+    if max_exp < 1:
+        raise ValueError("--max-exp must be at least 1")
     return Limits(
-        max_exponent=_rat_flag("--max-exp", args.max_exp),
+        max_exponent=max_exp,
         max_ramification=args.max_ram,
         max_branches=args.max_branches,
         dicritical_samples=samples,

@@ -4,10 +4,10 @@ The expansion code decides admissible exponents from a Newton polygon and
 coefficients from characteristic polynomials.  Everything here goes the
 other way around, so agreement is meaningful:
 
-* ``branch_to_curve`` rebuilds, by exact linear algebra, the monic curve
-  f(x, y) whose root the branch is, as the characteristic polynomial of
-  the multiplication-by-g operator on Q[x][t] / (t^m - x).  The expansion
-  of d(f) must then rediscover the branch term by term.
+* ``branch_to_curve`` rebuilds the monic curve f(x, y) whose root the
+  branch is, from the power sums of the branch's m conjugates and
+  Newton's identities, in exact arithmetic over Q[x].  The expansion of
+  d(f) must then rediscover the branch term by term.
 * ``gen_case`` plants a branch with a prescribed ladder of characteristic
   exponents and hands back the differential form, the curve, and the
   expected step list, so the step classifier (characteristic or not) and
@@ -39,13 +39,13 @@ def branch_to_curve(coeffs: dict[int, Fraction], m: int) -> PuiseuxPoly:
     branch has order >= 1) and the representation must be primitive:
     gcd(m, k over nonzero f_k) == 1.
 
-    Writing g(t) = sum f_k t^k, the matrix M of multiplication by g on
-    the Q[x]-module Q[x][t] / (t^m - x) with basis 1, t, ..., t^(m-1)
-    has the branch conjugates g(zeta * x^(1/m)) as eigenvalues, so
-
-        f(x, y) = det(y * I - M)
-
-    is the product of (y - conjugate) over all m conjugates.
+    With gamma = sum f_k x^(k/m), the k-th power sum of the m conjugates
+    gamma(zeta * x^(1/m)) keeps only the integer x-exponents of gamma^k:
+    p_k = m * (those terms of gamma^k), a polynomial in Q[x].  Newton's
+    identities e_k = (1/k) sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i give the
+    curve f(x, y) = sum_k (-1)^k e_k y^(m-k).  The code keeps its
+    coefficients c_k = (-1)^k e_k and q_k = p_k / m, for which the
+    identities read c_k = -(m/k) (q_k + sum_{i=1..k-1} c_(k-i) q_i).
     """
     if m < 1:
         raise ValueError("ramification m must be a positive integer")
@@ -58,33 +58,17 @@ def branch_to_curve(coeffs: dict[int, Fraction], m: int) -> PuiseuxPoly:
     if math.gcd(m, *cleaned) != 1:
         raise ValueError("non-primitive parametrisation: gcd(m, k's) > 1")
 
-    y = PuiseuxPoly.monomial(1, 0, 1)
-    matrix = [[PuiseuxPoly.zero() for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        matrix[a][a] = matrix[a][a] + y
-        for k, f in cleaned.items():
-            b = (k + a) % m
-            matrix[b][a] = matrix[b][a] - PuiseuxPoly.monomial(f, (k + a) // m)
-
-    cache: dict[frozenset[int], PuiseuxPoly] = {}
-
-    def minor(rows: frozenset[int]) -> PuiseuxPoly:
-        if not rows:
-            return PuiseuxPoly.const(1)
-        if rows in cache:
-            return cache[rows]
-        col = m - len(rows)
-        acc = PuiseuxPoly.zero()
-        for pos, row in enumerate(sorted(rows)):
-            entry = matrix[row][col]
-            if entry.is_zero():
-                continue
-            term = entry * minor(rows - {row})
-            acc = acc + (term if pos % 2 == 0 else -term)
-        cache[rows] = acc
-        return acc
-
-    return minor(frozenset(range(m)))
+    gamma = PuiseuxPoly({(Fraction(k, m), 0): f for k, f in cleaned.items()})
+    power, q, c = gamma, [None], [PuiseuxPoly.const(1)]
+    for k in range(1, m + 1):
+        if k > 1:
+            power = power * gamma
+        whole = {key: f for key, f in power.terms.items() if key[0].denominator == 1}
+        q.append(PuiseuxPoly(whole))
+        c.append(sum((c[k - i] * q[i] for i in range(1, k)), q[k]) * Fraction(-m, k))
+    return PuiseuxPoly(
+        {(ex, m - k): f for k, ck in enumerate(c) for (ex, _ey), f in ck.terms.items()}
+    )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ import pytest
 
 from puiseuxform import (
     INFINITY,
+    BoundReport,
     CloudPoint,
+    Limits,
     OneForm,
     PuiseuxPoly,
     STANDARD_SIGNATURES,
@@ -160,6 +162,20 @@ def test_criterion_3_planted_corpus(corpus, capsys):
             "%d cases (r in {0,1,2,3}): %d bound failures, %d recovery failures"
             % (len(corpus), bound_failures, recovery_failures),
         )
+
+
+def test_deep_tower_r4():
+    # r = 4, beyond the corpus: the m = 16 tower 3/2, 7/4, 15/8, 31/16
+    case = gen_case(tuple(Fraction(e) for e in ("3/2", "7/4", "15/8", "31/16")), 1)
+    result = expand_branches(case.form, Limits(max_ramification=32))
+    want = [(s.mu, s.c, s.characteristic) for s in case.branch.steps]
+    hits = [
+        b for b in result.branches
+        if b.exact and [(s.mu, s.c, s.characteristic) for s in b.steps] == want
+    ]
+    assert len(hits) == 1 and hits[0].r == case.r == 4
+    assert verify_bound(case.form, result.branches) == BoundReport(4, 16, 16, True)
+    assert all(lemma_checks(trace).ok for trace in result.traces)
 
 
 def test_criterion_4_lemma_instrumentation(corpus, capsys):

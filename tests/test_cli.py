@@ -165,8 +165,21 @@ def test_bad_limit_value_exits_2(capsys):
     assert "--dicritical-samples" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--max-ram", "--max-branches"])
-@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("samples", ["1,1/1", "0,0", "1/2,-1,2/4"])
+def test_repeated_dicritical_sample_exits_2(capsys, samples):
+    # a repeated coefficient would report the same dicritical branch twice
+    args = ["expand", "--a", "y", "--b", "-x", "--dicritical-samples", samples]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --dicritical-samples must not repeat a coefficient\n"
+
+
+@pytest.mark.parametrize(
+    "value, flag",
+    [(v, f) for f in ("--max-ram", "--max-branches") for v in ("0", "-5")]
+    + [(v, "--max-exp") for v in ("0", "-5", "1/2")],
+)
 def test_limit_below_one_exits_2(capsys, flag, value):
     assert run(["verify", "--a", "-3*x^2", "--b", "2*y", flag, value, "--json"]) == 2
     captured = capsys.readouterr()
@@ -227,6 +240,21 @@ def test_module_entry_point(child_env):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_gen_runs_without_sympy(child_env):
+    # sympy is a test-only dependency: the child blocks its import
+    code = (
+        "import sys, runpy; sys.modules['sympy'] = None; "
+        "sys.argv = ['puiseuxform', 'gen', '--signature=3/2,7/4', '--seed=1',"
+        " '--json']; "
+        "runpy.run_module('puiseuxform', run_name='__main__')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["r"] == 2
 
 
 def test_dash_leading_expression_values(capsys):

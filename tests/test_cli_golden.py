@@ -43,6 +43,8 @@ ERROR_ARGVS = [
     ["expand", "--a=y", "--b=-x", "--max-exp=1/0"],
     ["verify", "--a=y", "--b=-x", "--dicritical-samples=,"],
     ["polygon", "--a=-3*x^2", "--b=2*y", "--support=2"],
+    ["verify", "--a=-3*x^2", "--b=2*y", "--max-exp=-5"],
+    ["expand", "--a=y", "--b=-x", "--dicritical-samples=1,1/1"],
 ]
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -58,8 +59,6 @@ def test_branch_to_curve_validation():
 
 
 def test_curve_vanishes_on_parametrisation():
-    import math
-
     rng = random.Random(7)
     checked = 0
     while checked < 25:
@@ -76,6 +75,31 @@ def test_curve_vanishes_on_parametrisation():
             y0 = sum((c * t0**k for k, c in coeffs.items()), Fraction(0))
             assert eval_ramified(f, x0, y0) == 0
         checked += 1
+
+
+def test_branch_to_curve_matches_resultant():
+    # independent reference: f = Res_t(t^m - x, y - g(t)), g(t) = sum f_k t^k,
+    # up to a sign that depends on sympy's convention
+    sympy = pytest.importorskip("sympy")
+    t, x, y = sympy.symbols("t x y")
+    rng = random.Random(11)
+    for m in (1, 2, 3, 4, 5, 6, 8) * 3:
+        coeffs = {}
+        while not coeffs or math.gcd(m, *coeffs) != 1:
+            ks = rng.sample(range(m, 3 * m + 1), rng.randint(1, 3))
+            coeffs = {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in ks}
+            coeffs = {k: c for k, c in coeffs.items() if c != 0}
+        g = sum(
+            sympy.Rational(c.numerator, c.denominator) * t**k for k, c in coeffs.items()
+        )
+        res = sympy.Poly(sympy.resultant(t**m - x, y - g, t), x, y)
+        sign = res.coeff_monomial(y**m)
+        assert sign in (1, -1)
+        res = res * sign
+        want = {
+            (Fraction(ex), ey): Fraction(int(c.p), int(c.q)) for (ex, ey), c in res.terms()
+        }
+        assert branch_to_curve(coeffs, m).terms == want, (m, coeffs)
 
 
 def test_gen_case_is_deterministic():
