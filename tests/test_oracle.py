@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -59,6 +58,8 @@ def test_branch_to_curve_validation():
 
 
 def test_curve_vanishes_on_parametrisation():
+    import math
+
     rng = random.Random(7)
     checked = 0
     while checked < 25:
@@ -80,6 +81,8 @@ def test_curve_vanishes_on_parametrisation():
 def test_branch_to_curve_matches_resultant():
     # independent reference: f = Res_t(t^m - x, y - g(t)), g(t) = sum f_k t^k,
     # up to a sign that depends on sympy's convention
+    import math
+
     sympy = pytest.importorskip("sympy")
     t, x, y = sympy.symbols("t x y")
     rng = random.Random(11)
