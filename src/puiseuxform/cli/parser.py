@@ -19,6 +19,10 @@ class FormError(ValueError):
 
 _SYMBOLS = {"+", "-", "*", "/", "^", "(", ")"}
 
+# Each level of parentheses costs the parser three stack frames, so this stays
+# well below the interpreter's recursion limit, in-process and in a child.
+_MAX_NESTING = 200
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -48,6 +52,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses currently open
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -108,9 +113,15 @@ class _Parser:
             exp = self.parse_exponent()
             return PuiseuxPoly.monomial(1, exp if var == "x" else 0, exp if var == "y" else 0)
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(
+                    "parentheses nested deeper than %d" % _MAX_NESTING, self.here()
+                )
             self.next()
+            self.depth += 1
             inner = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return inner ** self.parse_exponent()
         raise ParseError(
             "expected a number, variable or '(', found %r"

@@ -261,3 +261,32 @@ def test_dash_leading_expression_values(capsys):
     # space-separated values starting with '-' must work, not just --a=...
     assert run(["verify", "--a", "-x", "--b", "y - x"]) in (0, 1)
     capsys.readouterr()
+
+
+def _nested(depth, inner):
+    return "(" * depth + inner + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--a=" + _nested(330, "x*y"), "--b=y"],
+        ["polygon", "--a=" + _nested(1000, "x"), "--b=y"],
+    ],
+    ids=["verify-330", "polygon-1000"],
+)
+def test_deep_parentheses_exit_2(argv, capsys, child_env):
+    # a parse error, not a RecursionError traceback, in-process and in a child
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: parentheses nested deeper than 200 (at position 200)\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "puiseuxform", *argv],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert (proc.returncode, proc.stderr) == (2, err)
+
+
+def test_parentheses_at_the_depth_limit_parse(capsys):
+    assert run(["verify", "--a=" + _nested(200, "x*y"), "--b=y"]) == 0
+    assert "PASS" in capsys.readouterr().out
