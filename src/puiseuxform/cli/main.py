@@ -168,14 +168,9 @@ def _branch_payload(b, residual) -> dict:
     }
 
 
-def _expansion_payload(result, w: OneForm) -> dict:
-    # The search emits a branch as exact exactly when its final form has an
-    # infinite residual, so only the truncated branches are replayed.
+def _expansion_payload(result) -> dict:
     return {
-        "branches": [
-            _branch_payload(b, INFINITY if b.exact else invariance_residual(w, b))
-            for b in result.branches
-        ],
+        "branches": [_branch_payload(b, b.residual) for b in result.branches],
         "notes": list(result.notes),
     }
 
@@ -242,7 +237,7 @@ def cmd_polygon(args) -> int:
 def cmd_expand(args) -> int:
     w = _load_form(args)
     result = expand_branches(w, _limits(args))
-    payload = _expansion_payload(result, w)
+    payload = _expansion_payload(result)
     if args.json:
         return _emit_json(payload, 0)
     print("branches (%d):" % len(payload["branches"]))
@@ -268,7 +263,7 @@ def cmd_verify(args) -> int:
     result = expand_branches(w, _limits(args))
     report = verify_bound(w, result.branches)
     payload = dict(
-        _expansion_payload(result, w),
+        _expansion_payload(result),
         max_r=report.max_r,
         y_order=report.y_order,
         multiplicity=report.multiplicity,

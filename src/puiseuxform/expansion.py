@@ -83,7 +83,12 @@ class PuiseuxBranch:
     steps: tuple[BranchStep, ...]
     r: int  # number of characteristic steps
     truncated_at: Fraction | None  # last reached exponent when not exact
-    exact: bool  # the remaining tail is identically zero
+    residual: object  # ord_x(a(x, Gamma) + b(x, Gamma) * Gamma'), or INFINITY
+
+    @property
+    def exact(self) -> bool:
+        """The remaining tail is identically zero."""
+        return self.residual is INFINITY
 
 
 @dataclass(frozen=True)
@@ -183,32 +188,28 @@ class StepEnumeration:
     dead: list[str]  # sides whose characteristic polynomial has no rational root
 
 
-def _mu_admissible(mu: Fraction, mu_min: Fraction, strict: bool) -> bool:
-    if mu < 1:
-        return False
-    return mu > mu_min if strict else mu >= mu_min
-
-
 def admissible_steps(
     w: OneForm,
     q_before: int = 1,
-    mu_min: RatLike = 1,
+    after: RatLike | None = None,
     limits: Limits | None = None,
-    strict: bool = False,
     np: NewtonPolygon | None = None,
 ) -> StepEnumeration:
     """Candidate steps ``(mu, c)`` at the current stage, ordered by (mu, c).
 
-    Sides of co-slope >= ``mu_min`` (strictly greater with ``strict``)
-    contribute the rational roots of their characteristic polynomial, or
-    sampled coefficients when dicritical; eligible vertices contribute
-    dicritical steps.  Steps beyond the limits are pruned.  The returned
-    enumeration also notes the pruned candidates and the rational dead
-    ends.  ``np`` is the polygon of ``w`` when the caller already holds it.
+    ``after`` is the exponent of the last step taken: only co-slopes
+    ``mu > after`` qualify, or ``mu >= 1`` at the root (``after`` None).
+    Such sides contribute the rational roots of their characteristic
+    polynomial, or sampled coefficients when dicritical; eligible vertices
+    contribute dicritical steps.  Steps beyond the limits are pruned.  The
+    returned enumeration also notes the pruned candidates and the rational
+    dead ends.  ``np`` is the polygon of ``w`` when the caller already
+    holds it.
     """
-    mu_min = Fraction(mu_min)
-    if mu_min < 1:
-        raise ValueError("mu_min must be >= 1")
+    if after is not None:
+        after = Fraction(after)
+        if after < 1:
+            raise ValueError("after must be >= 1")
     limits = limits or Limits()
     np = np if np is not None else polygon_of(w)
     cands: list[tuple[Fraction, Fraction, str, bool]] = []
@@ -216,7 +217,7 @@ def admissible_steps(
 
     for side in np.sides:
         mu = side.coslope
-        if not _mu_admissible(mu, mu_min, strict):
+        if not (mu >= 1 if after is None else mu > after):
             continue
         phi = characteristic_poly(w, support(np, mu))
         if phi.dicritical:
@@ -248,7 +249,7 @@ def admissible_steps(
             continue
         if hi is not None and not mu < hi:
             continue
-        if not _mu_admissible(mu, mu_min, strict):
+        if not (mu >= 1 if after is None else mu > after):
             continue
         cands += [(mu, Fraction(c), "vertex", True) for c in limits.dicritical_samples]
 
@@ -324,53 +325,46 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
     result = ExpansionResult()
     capped = False
 
-    def emit(steps, exact) -> None:
-        nonlocal capped
-        if len(result.branches) >= limits.max_branches:
-            if not capped:
-                result.notes.append(
-                    "branch limit %d reached; enumeration truncated"
-                    % limits.max_branches
-                )
-                capped = True
-            return
-        r = sum(1 for s in steps if s.characteristic)
-        truncated_at = None if exact else (steps[-1].mu if steps else None)
-        result.branches.append(PuiseuxBranch(tuple(steps), r, truncated_at, exact))
-
-    # stack entries: (form, steps, trace, q, mu_min, strict, contact); contact
-    # is where the last step touched the parent polygon (None at the root).
-    # The step's trace entry is made on pop, with the polygon built there.
-    stack = [(w, (), (), 1, Fraction(1), False, None)]
+    # stack entries: (trace, contact, step, form); step is the one that led
+    # to form and contact where it touched the parent polygon (both None at
+    # the root).  The step's trace entry is made on pop, with the polygon.
+    stack = [((), None, None, w)]
     while stack and not capped:
-        form, steps, trace, q, mu_min, strict, contact = stack.pop()
+        trace, contact, step, form = stack.pop()
         np = polygon_of(form)
-        if contact is not None:
-            trace += (TraceStep(contact, steps[-1], form, np),)
-        enum = admissible_steps(form, q, mu_min, limits, strict, np)
+        if step is not None:
+            trace += (TraceStep(contact, step, form, np),)
+        steps = tuple(e.step for e in trace)
+        q, after = (step.q_after, step.mu) if step else (1, None)
+        enum = admissible_steps(form, q, after, limits, np)
         prefix = series_text(steps)
         for note in enum.dead + enum.pruned:
             result.notes.append("[y ~ %s] %s" % (prefix, note))
-        exact_here = _axis_order(form) is INFINITY
-        if exact_here and not any(s.dicritical for s in enum.steps):
-            emit(steps, exact=True)
+        residual = _axis_order(form)
+        exact = residual is INFINITY
+        if exact:
+            emits = not any(s.dicritical for s in enum.steps)
+        else:
+            emits = bool(enum.pruned) and not enum.steps
+        capped = emits and len(result.branches) >= limits.max_branches
+        if capped:
+            result.notes.append(
+                "branch limit %d reached; enumeration truncated" % limits.max_branches
+            )
+        elif emits:
+            r = sum(1 for s in steps if s.characteristic)
+            truncated_at = None if exact or step is None else step.mu
+            result.branches.append(PuiseuxBranch(steps, r, truncated_at, residual))
         if not enum.steps:
-            if not exact_here:
-                if enum.pruned:
-                    emit(steps, exact=False)
-                elif not enum.dead:
-                    result.notes.append(
-                        "[y ~ %s] dead end: no admissible steps" % prefix
-                    )
+            if not exact and not enum.pruned and not enum.dead:
+                result.notes.append("[y ~ %s] dead end: no admissible steps" % prefix)
             if trace:
                 result.traces.append(trace)
             continue
         for child in reversed(enum.steps):
             contact = support(np, child.mu)
             form2 = transform_form(form, child.c, child.mu)
-            stack.append(
-                (form2, steps + (child,), trace, child.q_after, child.mu, True, contact)
-            )
+            stack.append((trace, contact, child, form2))
     return result
 
 

@@ -164,7 +164,7 @@ def gen_case(signature, seed: int) -> GeneratedCase:
         q_after = math.lcm(q, e.denominator)
         steps.append(BranchStep(e, c, q, q_after, q_after > q, "unknown", False))
         q = q_after
-    branch = PuiseuxBranch(tuple(steps), len(signature), None, True)
+    branch = PuiseuxBranch(tuple(steps), len(signature), None, INFINITY)
     return GeneratedCase(signature, seed, form, curve, branch, len(signature), extra_line)
 
 

@@ -90,14 +90,14 @@ def test_admissible_steps_vertex_dicritical():
 
 
 def test_admissible_steps_respects_mu_minimum():
-    assert admissible_steps(CUSP, mu_min=Fraction(3, 2)).steps != []
-    assert admissible_steps(CUSP, mu_min=Fraction(3, 2), strict=True).steps == []
-    assert admissible_steps(CUSP, mu_min=2).steps == []
+    assert admissible_steps(CUSP, after=1).steps != []
+    assert admissible_steps(CUSP, after=Fraction(3, 2)).steps == []
+    assert admissible_steps(CUSP, after=2).steps == []
 
 
 def test_admissible_steps_rejects_mu_min_below_one():
     with pytest.raises(ValueError):
-        admissible_steps(CUSP, mu_min=Fraction(1, 2))
+        admissible_steps(CUSP, after=Fraction(1, 2))
 
 
 def test_cusp_expansion():
@@ -210,7 +210,7 @@ def test_residual_grows_with_each_term():
 
     res = expand_branches(CUSP)
     full = res.branches[1]
-    empty = PuiseuxBranch((), 0, None, False)
+    empty = PuiseuxBranch((), 0, None, 2)
     assert invariance_residual(CUSP, empty) == 2  # ord_x of a(x, 0)
     assert invariance_residual(CUSP, full) is INFINITY
 
@@ -340,6 +340,7 @@ def test_replayed_residual_matches_substitution():
                 for b in expand_branches(w, limits).branches:
                     res = invariance_residual(w, b)
                     assert res == substituted_residual(w, b)
+                    assert b.residual == res
                     assert b.exact == (res is INFINITY)
                     checked += 1
                     truncated += not b.exact
