@@ -13,12 +13,10 @@ from .algebra import (
     INFINITY,
     OneForm,
     PuiseuxPoly,
-    Rat,
     differential,
     eval_ramified,
     order,
     poly_from_pairs,
-    rat,
     rat_str,
     substitute_shift,
     transform_form,
@@ -70,12 +68,10 @@ __all__ = [
     "INFINITY",
     "OneForm",
     "PuiseuxPoly",
-    "Rat",
     "differential",
     "eval_ramified",
     "order",
     "poly_from_pairs",
-    "rat",
     "rat_str",
     "substitute_shift",
     "transform_form",

@@ -1,9 +1,9 @@
 """Exact arithmetic for ramified plane polynomials and 1-forms.
 
 Everything in this package is computed over the rationals: coefficients are
-`fractions.Fraction` values (aliased ``Rat``), x-exponents are rationals
-whose denominators divide a per-polynomial ramification index ``ram``, and
-y-exponents are nonnegative integers.  No floats appear anywhere.
+`fractions.Fraction` values, x-exponents are rationals whose denominators
+divide a per-polynomial ramification index ``ram``, and y-exponents are
+nonnegative integers.  No floats appear anywhere.
 
 A :class:`PuiseuxPoly` is a finite sum ``sum coeff * x**ex * y**ey`` stored
 sparsely; a :class:`OneForm` is ``a(x, y) dx + b(x, y) dy``.
@@ -15,18 +15,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
-Rat = Fraction
-
 RatLike = Union[int, str, Fraction]
 
 _ZERO = Fraction(0)
-
-
-def rat(value: RatLike, den: int | None = None) -> Fraction:
-    """Coerce an int, a string such as ``"3/2"``, or a Fraction to ``Rat``."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
 
 
 def rat_str(value: RatLike) -> str:
@@ -35,6 +26,14 @@ def rat_str(value: RatLike) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return "%d/%d" % (f.numerator, f.denominator)
+
+
+def power_text(var: str, e: RatLike) -> str:
+    """Render ``var**e``: ``""`` for e = 0, else ``x``, ``x^2`` or ``x^(3/2)``."""
+    e = Fraction(e)
+    if e.denominator > 1:
+        return "%s^(%s)" % (var, rat_str(e))
+    return "" if e == 0 else var if e == 1 else "%s^%d" % (var, e)
 
 
 def signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
@@ -261,10 +260,6 @@ class OneForm:
     def __init__(self, a: PuiseuxPoly, b: PuiseuxPoly):
         self.a = a
         self.b = b
-
-    @property
-    def ram(self) -> int:
-        return math.lcm(self.a.ram, self.b.ram)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OneForm):

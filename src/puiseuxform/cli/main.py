@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from ..algebra import INFINITY, OneForm, rat_str, signed_sum
+from ..algebra import INFINITY, OneForm, power_text, rat_str, signed_sum
 from ..expansion import (
     Limits,
     characteristic_poly,
@@ -127,8 +127,7 @@ def _polygon_payload(w: OneForm, np) -> dict:
                 "end": _pt(s.end),
                 "coslope": rat_str(s.coslope),
                 "phi": signed_sum(
-                    (co, "" if j == 0 else "c" if j == 1 else "c^%d" % j)
-                    for j, co in reversed(phi.coeffs)
+                    (co, power_text("c", j)) for j, co in reversed(phi.coeffs)
                 ),
                 "dicritical": phi.dicritical,
             }

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..algebra import OneForm, PuiseuxPoly, rat_str, signed_sum
+from ..algebra import OneForm, PuiseuxPoly, power_text, rat_str, signed_sum
 
 
 class ParseError(ValueError):
@@ -19,9 +19,7 @@ class FormError(ValueError):
 
 _SYMBOLS = {"+", "-", "*", "/", "^", "(", ")"}
 
-# Each level of parentheses costs the parser three stack frames, so this stays
-# well below the interpreter's recursion limit, in-process and in a child.
-_MAX_NESTING = 200
+_MAX_NESTING = 200  # three stack frames a level: well below the recursion limit
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -114,9 +112,8 @@ class _Parser:
             return PuiseuxPoly.monomial(1, exp if var == "x" else 0, exp if var == "y" else 0)
         if kind == "(":
             if self.depth == _MAX_NESTING:
-                raise ParseError(
-                    "parentheses nested deeper than %d" % _MAX_NESTING, self.here()
-                )
+                raise ParseError("parentheses nested deeper than %d" % _MAX_NESTING,
+                                 self.here())
             self.next()
             self.depth += 1
             inner = self.parse_expr()
@@ -162,10 +159,6 @@ def poly_to_text(p: PuiseuxPoly) -> str:
     for (ex, ey), coeff in p.items():
         if ex.denominator != 1:
             raise ValueError("cannot render fractional exponent %s" % rat_str(ex))
-        parts = []
-        if ex != 0:
-            parts.append("x" if ex == 1 else "x^%d" % ex)
-        if ey != 0:
-            parts.append("y" if ey == 1 else "y^%d" % ey)
-        terms.append((coeff, "*".join(parts)))
+        parts = (power_text("x", ex), power_text("y", ey))
+        terms.append((coeff, "*".join(part for part in parts if part)))
     return signed_sum(terms)

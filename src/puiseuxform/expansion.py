@@ -30,6 +30,7 @@ from .algebra import (
     INFINITY,
     OneForm,
     RatLike,
+    power_text,
     rat_str,
     signed_sum,
     transform_form,
@@ -191,25 +192,22 @@ class StepEnumeration:
 def admissible_steps(
     w: OneForm,
     q_before: int = 1,
-    after: RatLike | None = None,
+    after: Fraction | None = None,
     limits: Limits | None = None,
     np: NewtonPolygon | None = None,
 ) -> StepEnumeration:
     """Candidate steps ``(mu, c)`` at the current stage, ordered by (mu, c).
 
-    ``after`` is the exponent of the last step taken: only co-slopes
-    ``mu > after`` qualify, or ``mu >= 1`` at the root (``after`` None).
-    Such sides contribute the rational roots of their characteristic
-    polynomial, or sampled coefficients when dicritical; eligible vertices
-    contribute dicritical steps.  Steps beyond the limits are pruned.  The
-    returned enumeration also notes the pruned candidates and the rational
-    dead ends.  ``np`` is the polygon of ``w`` when the caller already
-    holds it.
+    Sides of co-slope ``mu > after``, the exponent of the last step taken
+    (``mu >= 1`` at the root, where ``after`` is None), contribute the
+    rational roots of their characteristic polynomial, or sampled
+    coefficients when dicritical; eligible vertices contribute dicritical
+    steps.  Steps beyond the limits are pruned.  The returned enumeration
+    also notes the pruned candidates and the rational dead ends.  ``np``
+    is the polygon of ``w`` when the caller already holds it.
     """
-    if after is not None:
-        after = Fraction(after)
-        if after < 1:
-            raise ValueError("after must be >= 1")
+    if after is not None and after < 1:
+        raise ValueError("after must be >= 1")
     limits = limits or Limits()
     np = np if np is not None else polygon_of(w)
     cands: list[tuple[Fraction, Fraction, str, bool]] = []
@@ -282,13 +280,7 @@ def admissible_steps(
 
 def series_text(steps) -> str:
     """Human-readable series for a step sequence, e.g. ``x + 2*x^(3/2)``."""
-    return signed_sum((s.c, _x_power(s.mu)) for s in steps if s.c != 0)
-
-
-def _x_power(mu: Fraction) -> str:
-    if mu.denominator > 1:
-        return "x^(%s)" % rat_str(mu)
-    return "x" if mu == 1 else "x^%s" % rat_str(mu)
+    return signed_sum((s.c, power_text("x", s.mu)) for s in steps if s.c != 0)
 
 
 def _axis_order(w: OneForm):
@@ -341,11 +333,8 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
         for note in enum.dead + enum.pruned:
             result.notes.append("[y ~ %s] %s" % (prefix, note))
         residual = _axis_order(form)
-        exact = residual is INFINITY
-        if exact:
-            emits = not any(s.dicritical for s in enum.steps)
-        else:
-            emits = bool(enum.pruned) and not enum.steps
+        emits = (not any(s.dicritical for s in enum.steps) if residual is INFINITY
+                 else bool(enum.pruned) and not enum.steps)
         capped = emits and len(result.branches) >= limits.max_branches
         if capped:
             result.notes.append(
@@ -353,10 +342,10 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
             )
         elif emits:
             r = sum(1 for s in steps if s.characteristic)
-            truncated_at = None if exact or step is None else step.mu
+            truncated_at = None if residual is INFINITY or step is None else step.mu
             result.branches.append(PuiseuxBranch(steps, r, truncated_at, residual))
         if not enum.steps:
-            if not exact and not enum.pruned and not enum.dead:
+            if residual is not INFINITY and not enum.pruned and not enum.dead:
                 result.notes.append("[y ~ %s] dead end: no admissible steps" % prefix)
             if trace:
                 result.traces.append(trace)

@@ -12,7 +12,6 @@ from puiseuxform import (
     eval_ramified,
     order,
     poly_from_pairs,
-    rat,
     rat_str,
     substitute_shift,
     transform_form,
@@ -28,12 +27,6 @@ def test_rat_str_forms():
     assert rat_str(2) == "2"
     assert rat_str(Fraction(0)) == "0"
     assert rat_str(Fraction(4, 2)) == "2"
-
-
-def test_rat_constructor():
-    assert rat(3, 2) == Fraction(3, 2)
-    assert rat("5/3") == Fraction(5, 3)
-    assert rat(Fraction(1, 4)) == Fraction(1, 4)
 
 
 def test_infinity_sentinel_ordering():

@@ -3,8 +3,9 @@
 Every argv below runs through in-process ``run()``.  The sha256 of its
 exit code, stdout and stderr must equal the digest recorded for that argv
 in ``cli_golden.json``.  The inputs are the README fixtures, a few error
-paths (two of them parentheses nested too deep to parse) and the 24 small planted forms (``STANDARD_SIGNATURES[:4]`` x seeds
-0..5), each through every command in text and ``--json`` mode.  ``gen``
+paths (two of them parentheses nested too deep to parse) and the 24
+small planted forms (``STANDARD_SIGNATURES[:4]`` x seeds 0..5), each
+through every command in text and ``--json`` mode.  ``gen``
 is pinned for those 24 cases, for ``3/2,7/4 --seed=4``, and for the
 ramified towers ``STANDARD_SIGNATURES[4:]`` (m = 4, 6, 8) x seeds 0..1.
 Two limit-truncated expansions pin finite invariance residuals through
