@@ -333,7 +333,8 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
         for note in enum.dead + enum.pruned:
             result.notes.append("[y ~ %s] %s" % (prefix, note))
         residual = _axis_order(form)
-        emits = (not any(s.dicritical for s in enum.steps) if residual is INFINITY
+        exact = residual is INFINITY
+        emits = (not any(s.dicritical for s in enum.steps) if exact
                  else bool(enum.pruned) and not enum.steps)
         capped = emits and len(result.branches) >= limits.max_branches
         if capped:
@@ -342,10 +343,10 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
             )
         elif emits:
             r = sum(1 for s in steps if s.characteristic)
-            truncated_at = None if residual is INFINITY or step is None else step.mu
+            truncated_at = None if exact or step is None else step.mu
             result.branches.append(PuiseuxBranch(steps, r, truncated_at, residual))
         if not enum.steps:
-            if residual is not INFINITY and not enum.pruned and not enum.dead:
+            if not exact and not enum.pruned and not enum.dead:
                 result.notes.append("[y ~ %s] dead end: no admissible steps" % prefix)
             if trace:
                 result.traces.append(trace)
