@@ -232,8 +232,8 @@ def admissible_steps(
             )
 
     # A vertex (i, j) supports a step at the single co-slope solving
-    # a_ij + mu*b_(i+1)(j-1) = 0, provided that co-slope falls strictly
-    # inside the vertex's supporting interval; every coefficient works.
+    # a_ij + mu*b_(i+1)(j-1) = 0, provided that co-slope lies in the open
+    # interior of the vertex's supporting interval; every coefficient works.
     for idx, v in enumerate(np.vertices):
         if v.j < 1:
             continue
@@ -415,10 +415,10 @@ def lemma_checks(trace) -> LemmaReport:
     contact top P = (i, j), ramification jump s = q_after/q_before):
 
     * L1 — every j = 0 cloud point of the transformed form has abscissa
-      strictly greater than tau (vacuous when there is none).
+      greater than tau, never equal (vacuous when there is none).
     * L2 — when the used support line still meets the transformed
-      polygon on a side, the contact of the next grid line sits strictly
-      below P.
+      polygon on a side, the contact of the next grid line sits below P,
+      never level with it.
     * L3 — on a characteristic step with j > 1, the transformed cloud
       contains P and the survivor at height t = max(1, j - (s - 1)),
       abscissa i + (j - t)*mu.
