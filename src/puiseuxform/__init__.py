@@ -54,7 +54,6 @@ from .polygon import (
     NewtonPolygon,
     Side,
     SupportContact,
-    cloud,
     multiplicity,
     newton_polygon,
     polygon_of,
@@ -103,7 +102,6 @@ __all__ = [
     "NewtonPolygon",
     "Side",
     "SupportContact",
-    "cloud",
     "multiplicity",
     "newton_polygon",
     "polygon_of",

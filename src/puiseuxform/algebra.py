@@ -1,8 +1,7 @@
 """Exact arithmetic for ramified plane polynomials and 1-forms.
 
 Everything in this package is computed over the rationals: coefficients are
-`fractions.Fraction` values, x-exponents are rationals whose denominators
-divide a per-polynomial ramification index ``ram``, and y-exponents are
+`fractions.Fraction` values, x-exponents are rationals and y-exponents are
 nonnegative integers.  No floats appear anywhere.
 
 A :class:`PuiseuxPoly` is a finite sum ``sum coeff * x**ex * y**ey`` stored
@@ -91,17 +90,14 @@ class PuiseuxPoly:
     """Sparse polynomial in x and y with rational x-exponents.
 
     ``terms`` maps ``(ex, ey)`` to a nonzero rational coefficient; the zero
-    polynomial has no terms.  Every ``ex`` has a denominator dividing
-    ``ram``, and ``ey`` is a nonnegative integer.  Instances are treated as
-    immutable: all operations return new polynomials.
+    polynomial has no terms.  ``ex`` is rational and ``ey`` is a
+    nonnegative integer.  Instances are treated as immutable: all
+    operations return new polynomials.
     """
 
-    __slots__ = ("terms", "ram")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[TermKey, RatLike] | None = None, ram: int = 1):
-        r = int(ram)
-        if r < 1:
-            raise ValueError("ram must be a positive integer")
+    def __init__(self, terms: Mapping[TermKey, RatLike] | None = None):
         clean: dict[TermKey, Fraction] = {}
         if terms:
             for (ex, ey), coeff in terms.items():
@@ -113,19 +109,7 @@ class PuiseuxPoly:
                 if c == 0:
                     continue
                 clean[(ex, ey)] = c
-                r = math.lcm(r, ex.denominator)
         self.terms = clean
-        self.ram = r
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "PuiseuxPoly":
-        return cls()
-
-    @classmethod
-    def const(cls, coeff: RatLike) -> "PuiseuxPoly":
-        return cls.monomial(coeff)
 
     @classmethod
     def monomial(cls, coeff: RatLike, ex: RatLike = 0, ey: int = 0) -> "PuiseuxPoly":
@@ -144,12 +128,6 @@ class PuiseuxPoly:
         """Terms sorted by ``(ex, ey)`` — the deterministic iteration order."""
         return tuple(sorted(self.terms.items()))
 
-    def with_ram(self, ram: int) -> "PuiseuxPoly":
-        """The same polynomial declared over a coarser grid ``1/ram``."""
-        if ram % self.ram != 0:
-            raise ValueError("new ram must be a multiple of the current one")
-        return PuiseuxPoly(self.terms, ram)
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -157,7 +135,7 @@ class PuiseuxPoly:
         if isinstance(value, PuiseuxPoly):
             return value
         if isinstance(value, (int, Fraction)):
-            return PuiseuxPoly.const(value)
+            return PuiseuxPoly.monomial(value)
         return None
 
     def __add__(self, other) -> "PuiseuxPoly":
@@ -171,12 +149,12 @@ class PuiseuxPoly:
                 acc[key] = s
             else:
                 acc.pop(key, None)
-        return PuiseuxPoly(acc, math.lcm(self.ram, other.ram))
+        return PuiseuxPoly(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PuiseuxPoly":
-        return PuiseuxPoly({k: -c for k, c in self.terms.items()}, self.ram)
+        return PuiseuxPoly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "PuiseuxPoly":
         other = self._coerce(other)
@@ -203,7 +181,7 @@ class PuiseuxPoly:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-        return PuiseuxPoly(acc, math.lcm(self.ram, other.ram))
+        return PuiseuxPoly(acc)
 
     __rmul__ = __mul__
 
@@ -211,7 +189,7 @@ class PuiseuxPoly:
         n = int(n)
         if n < 0:
             raise ValueError("negative powers are not defined")
-        result = PuiseuxPoly.const(1)
+        result = PuiseuxPoly.monomial(1)
         base = self
         while n:
             if n & 1:
@@ -230,7 +208,7 @@ class PuiseuxPoly:
         body = ", ".join(
             "(%s, %d): %s" % (ex, ey, c) for (ex, ey), c in self.items()
         )
-        return "PuiseuxPoly({%s}, ram=%d)" % (body, self.ram)
+        return "PuiseuxPoly({%s})" % body
 
     # -- calculus ----------------------------------------------------------
 
@@ -241,7 +219,7 @@ class PuiseuxPoly:
             for (ex, ey), c in self.terms.items()
             if ex != 0
         }
-        return PuiseuxPoly(acc, self.ram)
+        return PuiseuxPoly(acc)
 
     def diff_y(self) -> "PuiseuxPoly":
         acc = {
@@ -249,7 +227,7 @@ class PuiseuxPoly:
             for (ex, ey), c in self.terms.items()
             if ey != 0
         }
-        return PuiseuxPoly(acc, self.ram)
+        return PuiseuxPoly(acc)
 
 
 class OneForm:
@@ -280,8 +258,7 @@ def order(p: PuiseuxPoly):
 def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
     """``p(x, c*x**mu + y)``, expanded binomially, exactly.
 
-    ``mu`` must be at least 1; the result's ram is the lcm of ``p.ram`` and
-    the denominator of ``mu``.  ``c = 0`` returns ``p`` unchanged.
+    ``mu`` must be at least 1.  ``c = 0`` returns ``p`` unchanged.
     """
     c = Fraction(c)
     mu = Fraction(mu)
@@ -299,7 +276,7 @@ def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
                 acc[key] = s
             else:
                 acc.pop(key, None)
-    return PuiseuxPoly(acc, math.lcm(p.ram, mu.denominator))
+    return PuiseuxPoly(acc)
 
 
 def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
@@ -326,14 +303,16 @@ def differential(f: PuiseuxPoly) -> OneForm:
     return OneForm(f.diff_x(), f.diff_y())
 
 
-def eval_ramified(p: PuiseuxPoly, t0: RatLike, y0: RatLike) -> Fraction:
-    """Evaluate ``p`` at ``x = t0**ram, y = y0`` — all exponents clear."""
+def eval_ramified(p: PuiseuxPoly, t0: RatLike, y0: RatLike, ram: int) -> Fraction:
+    """Evaluate ``p`` at ``x = t0**ram, y = y0``; each ``ex * ram`` must be whole."""
     t0 = Fraction(t0)
     y0 = Fraction(y0)
     total = Fraction(0)
     for (ex, ey), coeff in p.terms.items():
-        k = ex * p.ram  # integer by the ram invariant
-        total += coeff * t0 ** int(k) * y0**ey
+        k = ex * ram
+        if k.denominator != 1:
+            raise ValueError("exponent %s is off the grid 1/%d" % (ex, ram))
+        total += coeff * t0**k.numerator * y0**ey
     return total
 
 

@@ -42,15 +42,17 @@ def _add_form_args(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_limit_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--max-exp", default="40", metavar="Q",
-                    help="stop a branch once exponents exceed Q (default 40)")
-    sp.add_argument("--max-ram", type=int, default=16, metavar="N",
-                    help="maximum accumulated ramification (default 16)")
-    sp.add_argument("--max-branches", type=int, default=64, metavar="N",
-                    help="maximum number of reported branches (default 64)")
-    sp.add_argument("--dicritical-samples", default="1", metavar="LIST",
+    d = Limits()
+    sp.add_argument("--max-exp", default=rat_str(d.max_exponent), metavar="Q",
+                    help="stop a branch once exponents exceed Q (default %(default)s)")
+    sp.add_argument("--max-ram", type=int, default=d.max_ramification, metavar="N",
+                    help="maximum accumulated ramification (default %(default)s)")
+    sp.add_argument("--max-branches", type=int, default=d.max_branches, metavar="N",
+                    help="maximum number of reported branches (default %(default)s)")
+    sp.add_argument("--dicritical-samples", metavar="LIST",
+                    default=",".join(map(rat_str, d.dicritical_samples)),
                     help="comma-separated coefficients sampled from dicritical "
-                    "families (default '1')")
+                    "families (default '%(default)s')")
 
 
 def _load_form(args) -> OneForm:

@@ -72,7 +72,7 @@ class _Parser:
         return self.next()
 
     def parse_expr(self) -> PuiseuxPoly:
-        acc = PuiseuxPoly.zero()
+        acc = PuiseuxPoly()
         sign = Fraction(1)
         if self.peek() in ("+", "-"):
             sign = Fraction(-1) if self.next()[0] == "-" else Fraction(1)
@@ -104,8 +104,8 @@ class _Parser:
                 den = int(self.expect("int")[1])
                 if den == 0:
                     raise ParseError("zero denominator", pos)
-                return PuiseuxPoly.const(Fraction(num, den))
-            return PuiseuxPoly.const(num)
+                return PuiseuxPoly.monomial(Fraction(num, den))
+            return PuiseuxPoly.monomial(num)
         if kind == "var":
             var = self.next()[1]
             exp = self.parse_exponent()

@@ -55,7 +55,6 @@ class CharPoly:
     vanishes, i.e. when ``coeffs`` is empty.
     """
 
-    mu: Fraction
     coeffs: tuple[tuple[int, Fraction], ...]
     dicritical: bool
 
@@ -130,7 +129,7 @@ def characteristic_poly(w: OneForm, contact: SupportContact) -> CharPoly:
         combo = w.a.coeff(p.i, p.j) + contact.mu * w.b.coeff(p.i + 1, p.j - 1)
         if combo != 0:
             coeffs.append((p.j, combo))
-    return CharPoly(contact.mu, tuple(sorted(coeffs)), not coeffs)
+    return CharPoly(tuple(sorted(coeffs)), not coeffs)
 
 
 def _divisors(n: int) -> list[int]:
@@ -329,11 +328,14 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
         steps = tuple(e.step for e in trace)
         q, after = (step.q_after, step.mu) if step else (1, None)
         enum = admissible_steps(form, q, after, limits, np)
-        prefix = series_text(steps)
-        for note in enum.dead + enum.pruned:
-            result.notes.append("[y ~ %s] %s" % (prefix, note))
         residual = _axis_order(form)
         exact = residual is INFINITY
+        notes = enum.dead + enum.pruned
+        if not (enum.steps or exact or notes):
+            notes = ["dead end: no admissible steps"]
+        if notes:
+            prefix = series_text(steps)
+            result.notes += ["[y ~ %s] %s" % (prefix, note) for note in notes]
         emits = (not any(s.dicritical for s in enum.steps) if exact
                  else bool(enum.pruned) and not enum.steps)
         capped = emits and len(result.branches) >= limits.max_branches
@@ -345,12 +347,8 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
             r = sum(1 for s in steps if s.characteristic)
             truncated_at = None if exact or step is None else step.mu
             result.branches.append(PuiseuxBranch(steps, r, truncated_at, residual))
-        if not enum.steps:
-            if not exact and not enum.pruned and not enum.dead:
-                result.notes.append("[y ~ %s] dead end: no admissible steps" % prefix)
-            if trace:
-                result.traces.append(trace)
-            continue
+        if trace and not enum.steps:
+            result.traces.append(trace)
         for child in reversed(enum.steps):
             contact = support(np, child.mu)
             form2 = transform_form(form, child.c, child.mu)

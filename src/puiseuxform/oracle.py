@@ -59,7 +59,7 @@ def branch_to_curve(coeffs: dict[int, Fraction], m: int) -> PuiseuxPoly:
         raise ValueError("non-primitive parametrisation: gcd(m, k's) > 1")
 
     gamma = PuiseuxPoly({(Fraction(k, m), 0): f for k, f in cleaned.items()})
-    power, q, c = gamma, [None], [PuiseuxPoly.const(1)]
+    power, q, c = gamma, [None], [PuiseuxPoly.monomial(1)]
     for k in range(1, m + 1):
         if k > 1:
             power = power * gamma
@@ -88,6 +88,11 @@ _COEFF_POOL = (
 )
 
 
+# Largest final ramification gen_case accepts.  branch_to_curve's cost
+# grows steeply with it: a 63/32 tower takes about 2 s, 127/64 about 45 s.
+MAX_GEN_RAMIFICATION = 32
+
+
 def _validate_signature(signature: tuple[Fraction, ...]) -> int:
     q = 1
     prev = Fraction(1)
@@ -101,6 +106,10 @@ def _validate_signature(signature: tuple[Fraction, ...]) -> int:
             )
         q = e.denominator
         prev = e
+    if q > MAX_GEN_RAMIFICATION:
+        raise ValueError(
+            "ramification %d is above the limit %d" % (q, MAX_GEN_RAMIFICATION)
+        )
     return q
 
 
@@ -232,8 +241,8 @@ def substituted_residual(w: OneForm, branch: PuiseuxBranch):
 
     Returns ``INFINITY`` when the branch is exactly invariant.
     """
-    gamma = PuiseuxPoly.zero()
-    dgamma = PuiseuxPoly.zero()
+    gamma = PuiseuxPoly()
+    dgamma = PuiseuxPoly()
     for s in branch.steps:
         if s.c == 0:
             continue
@@ -246,8 +255,8 @@ def substituted_residual(w: OneForm, branch: PuiseuxBranch):
 
 
 def _substitute_y(p: PuiseuxPoly, gamma: PuiseuxPoly) -> PuiseuxPoly:
-    powers = {0: PuiseuxPoly.const(1)}
-    acc = PuiseuxPoly.zero()
+    powers = {0: PuiseuxPoly.monomial(1)}
+    acc = PuiseuxPoly()
     for (ex, ey), coeff in p.items():
         if ey not in powers:
             powers[ey] = gamma**ey

@@ -59,21 +59,6 @@ class NewtonPolygon:
     sides: tuple[Side, ...]
 
 
-def cloud(w: OneForm) -> tuple[CloudPoint, ...]:
-    """Cloud points of the form, deduplicated and sorted by ``(i, j)``."""
-    pts: set[tuple[Fraction, int]] = set()
-    for (ex, ey) in w.a.terms:
-        pts.add((ex, ey))
-    for (ex, ey) in w.b.terms:
-        pts.add((ex - 1, ey + 1))
-    for (i, j) in pts:
-        if i < -1:
-            raise MalformedFormError(
-                "cloud point (%s, %d) lies left of i = -1" % (i, j)
-            )
-    return tuple(sorted(CloudPoint(i, j) for (i, j) in pts))
-
-
 def _cross(o: CloudPoint, a: CloudPoint, b: CloudPoint) -> Fraction:
     return (a.i - o.i) * (b.j - o.j) - (a.j - o.j) * (b.i - o.i)
 
@@ -127,7 +112,10 @@ def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
 
 
 def polygon_of(w: OneForm) -> NewtonPolygon:
-    return newton_polygon(cloud(w))
+    """Newton polygon of the form; its ``cloud`` is the form's cloud."""
+    return newton_polygon(
+        [*w.a.terms, *((ex - 1, ey + 1) for (ex, ey) in w.b.terms)]
+    )
 
 
 def y_order(w: OneForm, np: NewtonPolygon | None = None) -> int:

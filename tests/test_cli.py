@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
-from puiseuxform.cli.main import run
+from puiseuxform import Limits
+from puiseuxform.cli.main import _limits, build_arg_parser, run
+from puiseuxform.oracle import MAX_GEN_RAMIFICATION, _validate_signature
 
 SVG_NS = {"s": "http://www.w3.org/2000/svg"}
 
@@ -290,3 +294,25 @@ def test_deep_parentheses_exit_2(argv, capsys, child_env):
 def test_parentheses_at_the_depth_limit_parse(capsys):
     assert run(["verify", "--a=" + _nested(200, "x*y"), "--b=y"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["expand", "verify", "check-lemmas"])
+def test_flagless_limits_are_the_library_defaults(command):
+    assert _limits(build_arg_parser().parse_args([command])) == Limits()
+
+
+def test_gen_ramification_above_the_cap_exits_2_at_once(capsys):
+    # gen_case's cost grows steeply with the ramification: 101/100 took 16 s
+    start = time.perf_counter()
+    assert run(["gen", "--signature", "101/100"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ramification 100 is above the limit 32\n"
+
+
+def test_gen_ramification_cap_admits_a_tower_up_to_it():
+    tower = [Fraction(2**k - 1, 2 ** (k - 1)) for k in range(2, 8)]  # 3/2 .. 127/64
+    assert _validate_signature(tower[:5]) == MAX_GEN_RAMIFICATION == 32
+    with pytest.raises(ValueError, match="ramification 64 is above the limit 32"):
+        _validate_signature(tower)

@@ -217,9 +217,9 @@ def test_residual_grows_with_each_term():
 
 def test_expand_rejects_bad_input():
     with pytest.raises(ValueError):
-        expand_branches(OneForm(PuiseuxPoly.zero(), PuiseuxPoly.zero()))
+        expand_branches(OneForm(PuiseuxPoly(), PuiseuxPoly()))
     with pytest.raises(ValueError):
-        expand_branches(OneForm(PuiseuxPoly.const(1), Y))
+        expand_branches(OneForm(PuiseuxPoly.monomial(1), Y))
     frac = poly_from_pairs([(Fraction(3, 2), 0, 1)])
     with pytest.raises(ValueError):
         expand_branches(OneForm(frac, Y))

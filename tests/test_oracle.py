@@ -74,7 +74,7 @@ def test_curve_vanishes_on_parametrisation():
             t0 = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             x0 = t0**m
             y0 = sum((c * t0**k for k, c in coeffs.items()), Fraction(0))
-            assert eval_ramified(f, x0, y0) == 0
+            assert eval_ramified(f, x0, y0, 1) == 0
         checked += 1
 
 

@@ -1,21 +1,30 @@
-"""The benchmark's tracer wraps package functions by name; they must exist.
+"""The benchmark's modules use package names; they must exist.
 
 ``perfbench/tracer.py`` replaces each ``(module, attribute)`` of its
-``WRAPPED`` table when a ``--trace 1`` run starts, so a refactor that
-drops or renames one of them breaks the traced benchmark.  The perfbench
-smoke test is outside ``testpaths``; this test reads the table here.
+``WRAPPED`` table when a ``--trace 1`` run starts, and
+``perfbench/workloads.py`` imports and calls package functions, so a
+refactor that drops or renames one of them breaks the benchmark.  The
+perfbench smoke test is outside ``testpaths``; these tests load the
+modules here.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_every_traced_attribute_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+def _load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves(monkeypatch):
+    tracer = _load("tracer", monkeypatch)
     assert tracer.WRAPPED
     missing = [
         "%s.%s" % (module.__name__, attr)
@@ -23,3 +32,14 @@ def test_every_traced_attribute_resolves():
         if not callable(getattr(module, attr, None))
     ]
     assert not missing, "perfbench wraps missing attributes: %s" % missing
+
+
+def test_workloads_load_and_judge_their_smoke_cases(monkeypatch):
+    # workloads.py imports tracer as a sibling module, as run.py does
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = _load("workloads", monkeypatch)
+    for name in ("corpus", "coeffs"):
+        specs_of, run = workloads.WORKLOADS[name]
+        specs, _defects = specs_of(7, True)
+        assert specs
+        assert [run(spec).problems for spec in specs] == [[]] * len(specs), name

@@ -9,7 +9,6 @@ from puiseuxform import (
     MalformedFormError,
     OneForm,
     PuiseuxPoly,
-    cloud,
     multiplicity,
     newton_polygon,
     poly_from_pairs,
@@ -29,19 +28,19 @@ def pts(*pairs):
 
 
 def test_cloud_of_cusp_form():
-    assert cloud(CUSP) == pts((-1, 2), (2, 0))
+    assert polygon_of(CUSP).cloud == pts((-1, 2), (2, 0))
 
 
 def test_cloud_merges_a_and_b_contributions():
     # a = x*y contributes (1,1); b = x*y contributes (0,2)
     w = OneForm(X * Y, X * Y)
-    assert cloud(w) == pts((0, 2), (1, 1))
+    assert polygon_of(w).cloud == pts((0, 2), (1, 1))
 
 
 def test_cloud_rejects_abscissa_below_minus_one():
     bad = poly_from_pairs([(-2, 1, 1)])
     with pytest.raises(MalformedFormError):
-        cloud(OneForm(bad, PuiseuxPoly.zero()))
+        polygon_of(OneForm(bad, PuiseuxPoly()))
 
 
 def test_hull_drops_dominated_and_interior_points():
@@ -90,7 +89,7 @@ def test_support_rejects_coslope_below_one():
 def test_y_order_values():
     assert y_order(CUSP) == 2
     assert y_order(OneForm(Y, -X)) == 1
-    assert y_order(OneForm(PuiseuxPoly.zero(), Y**3)) == 4
+    assert y_order(OneForm(PuiseuxPoly(), Y**3)) == 4
 
 
 def test_multiplicity_values():
@@ -101,13 +100,13 @@ def test_multiplicity_values():
 
 def test_multiplicity_rejects_zero_form():
     with pytest.raises(ValueError):
-        multiplicity(OneForm(PuiseuxPoly.zero(), PuiseuxPoly.zero()))
+        multiplicity(OneForm(PuiseuxPoly(), PuiseuxPoly()))
 
 
 def test_multiplicity_rejects_fractional_exponents():
     p = poly_from_pairs([(Fraction(3, 2), 0, 1)])
     with pytest.raises(ValueError):
-        multiplicity(OneForm(p, PuiseuxPoly.zero()))
+        multiplicity(OneForm(p, PuiseuxPoly()))
 
 
 cloud_points = st.lists(
