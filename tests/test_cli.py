@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -316,3 +317,53 @@ def test_gen_ramification_cap_admits_a_tower_up_to_it():
     assert _validate_signature(tower[:5]) == MAX_GEN_RAMIFICATION == 32
     with pytest.raises(ValueError, match="ramification 64 is above the limit 32"):
         _validate_signature(tower)
+
+
+def _child_json(argv, child_env, guard_s=20):
+    # a wall-clock guard: the child is killed, and the test fails, past guard_s
+    proc = subprocess.run(
+        [sys.executable, "-m", "puiseuxform", *argv, "--json"],
+        capture_output=True, text=True, env=child_env, timeout=guard_s,
+    )
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def test_euler_divergent_branch_at_default_limits(child_env):
+    # x^2 dy - (y - x) dx: the formal branch y = sum (n-1)! x^n, whose step-n
+    # characteristic polynomial (n-1)! - c has a 36-digit constant at n = 33
+    code, payload = _child_json(["expand", "--a", "x - y", "--b", "x^2"], child_env)
+    assert code == 0
+    [branch] = payload["branches"]
+    assert [(s["mu"], s["c"]) for s in branch["steps"]] == [
+        (str(n), str(math.factorial(n - 1))) for n in range(1, 41)
+    ]
+    assert not branch["exact"] and branch["truncated_at"] == "40"
+    assert branch["residual"] != "infinity"
+
+
+def test_dicritical_pencil_at_default_limits(child_env):
+    # the first branch is y = x*sqrt(1 + x), whose coefficients gain about
+    # one digit per step
+    code, payload = _child_json(
+        ["expand", "--a", "-2*x*y^2 - x^4", "--b", "2*x^2*y"], child_env
+    )
+    assert code == 0
+    assert [b["steps"][0]["mu"] for b in payload["branches"]] == ["1", "3/2", "3/2"]
+    binomial = [Fraction(1)]  # binomial(1/2, k)
+    for k in range(39):
+        binomial.append(binomial[-1] * (Fraction(1, 2) - k) / (k + 1))
+    first = payload["branches"][0]
+    assert [(s["mu"], s["c"]) for s in first["steps"]] == [
+        (str(n), str(binomial[n - 1])) for n in range(1, 41)
+    ]
+    assert first["truncated_at"] == "40"
+
+
+def test_nineteen_digit_cusp_has_no_rational_branch(child_env):
+    code, payload = _child_json(
+        ["verify", "--a", "-1000000000000000003*x^2", "--b", "2*y"], child_env
+    )
+    assert code == 0
+    assert payload["branches"] == [] and payload["bound_ok"]
+    [note] = payload["notes"]
+    assert "no rational continuation on side mu=3/2" in note
