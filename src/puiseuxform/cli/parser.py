@@ -20,6 +20,9 @@ class FormError(ValueError):
 _SYMBOLS = {"+", "-", "*", "/", "^", "(", ")"}
 
 _MAX_NESTING = 200  # three stack frames a level: well below the recursion limit
+# Expanding a power of a sum costs more than linear time in the exponent;
+# a power of a single term is cheap and is not limited.
+_MAX_POWER = 32
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -119,7 +122,13 @@ class _Parser:
             inner = self.parse_expr()
             self.expect(")")
             self.depth -= 1
-            return inner ** self.parse_exponent()
+            pos = self.here()
+            exp = self.parse_exponent()
+            if exp > _MAX_POWER and len(inner.terms) > 1:
+                raise ParseError(
+                    "power %d of a sum is above the limit %d" % (exp, _MAX_POWER), pos
+                )
+            return inner ** exp
         raise ParseError(
             "expected a number, variable or '(', found %r"
             % (self.tokens[self.pos][1] or "end"),

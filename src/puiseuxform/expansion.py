@@ -21,6 +21,7 @@ the branch, and ``verify_bound`` checks r <= y-order <= multiplicity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,50 +133,91 @@ def characteristic_poly(w: OneForm, contact: SupportContact) -> CharPoly:
     return CharPoly(tuple(sorted(coeffs)), not coeffs)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _eval(f, x):
+    """``f(x)`` by Horner's rule; ``f`` lists coefficients from degree 0 up."""
+    value = 0
+    for a in reversed(f):
+        value = value * x + a
+    return value
+
+
+def _primitive(f) -> list[int]:
+    """The integer polynomial with content 1 that is a rational multiple of ``f``."""
+    den = math.lcm(*(Fraction(a).denominator for a in f))
+    ints = [int(a * den) for a in f]
+    content = math.gcd(*ints)
+    return [a // content for a in ints]
+
+
+def _divmod(f, g) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of ``f`` by ``g`` over Q, both listed from degree 0 up."""
+    rem = [Fraction(a) for a in f]
+    quot = []
+    while len(rem) >= len(g):
+        c = rem[-1] / g[-1]
+        quot.append(c)
+        shift = len(rem) - len(g)
+        for i, a in enumerate(g):
+            rem[shift + i] -= c * a
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot[::-1], rem
+
+
+def _square_free_part(f) -> list[int]:
+    """``f / gcd(f, f')`` made primitive: the roots of ``f``, each simple (Yun, 1976)."""
+    g, h = f, [i * a for i, a in enumerate(f)][1:]
+    while h:
+        g, h = h, _divmod(g, h)[1]
+    return _primitive(_divmod(f, g)[0])
 
 
 def rational_roots(coeffs) -> tuple[Fraction, ...]:
     """Distinct nonzero rational roots of ``sum coeff_j * c**j``, sorted.
 
-    ``coeffs`` is an iterable of ``(j, coeff)`` pairs.  Found by the
-    rational root theorem on the integer-cleared polynomial, each
-    candidate verified by exact evaluation.
+    ``coeffs`` is an iterable of ``(j, coeff)`` pairs.  With the lowest power
+    of ``c`` divided out and denominators and content cleared, a linear
+    polynomial gives its root at once.  Otherwise the roots of its
+    square-free part ``f`` modulo the smallest odd prime ``p`` that does not
+    divide the leading coefficient ``lead`` and leaves them simple are lifted
+    p-adically (Loos, SIAM J. Comput. 12, 1983) to a modulus ``M > 2B``,
+    ``B = |lead| + max |a_i|``.  A rational root has a denominator dividing
+    ``lead`` and ``|lead * root| <= B`` (Cauchy), so ``lead * root`` is the
+    symmetric residue of ``lead * r`` mod ``M``; it is kept only when exact
+    evaluation gives 0.  The cost is polynomial in the number of digits.
     """
     pairs = [(int(j), Fraction(c)) for j, c in coeffs if c != 0]
     if not pairs:
         raise ValueError("the zero polynomial has every root")
     jmin = min(j for j, _ in pairs)
     shifted = {j - jmin: c for j, c in pairs}
-    deg = max(shifted)
-    if deg == 0:
+    f = [shifted.get(j, 0) for j in range(max(shifted) + 1)]
+    if len(f) == 1:
         return ()
-    den_lcm = math.lcm(*(c.denominator for c in shifted.values()))
-    ints = {j: int(c * den_lcm) for j, c in shifted.items()}
-    content = math.gcd(*ints.values())
-    ints = {j: v // content for j, v in ints.items()}
-    lead, const = ints[deg], ints[0]
-    roots = set()
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            if math.gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                value = sum(
-                    (v * cand**j for j, v in ints.items()), Fraction(0)
-                )
-                if value == 0:
-                    roots.add(cand)
+    f = _primitive(f)
+    if len(f) > 2:
+        f = _square_free_part(f)
+    if len(f) == 2:
+        return (Fraction(-f[0], f[1]),)
+    lead = f[-1]
+    df = [i * a for i, a in enumerate(f)][1:]
+    bound = 2 * (abs(lead) + max(abs(a) for a in f[:-1]))
+    for p in itertools.count(3, 2):
+        if lead % p and all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            residues = [r for r in range(p) if _eval(f, r) % p == 0]
+            if all(_eval(df, r) % p for r in residues):
+                break
+    roots = []
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _eval(f, r) * pow(_eval(df, r), -1, m)) % m
+        n = lead * r % m
+        root = Fraction(n - m if 2 * n > m else n, lead)
+        if _eval(f, root) == 0:
+            roots.append(root)
     return tuple(sorted(roots))
 
 

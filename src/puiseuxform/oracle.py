@@ -113,13 +113,9 @@ def _validate_signature(signature: tuple[Fraction, ...]) -> int:
     return q
 
 
-def _grid_between(lo: Fraction, hi: Fraction, q: int) -> list[Fraction]:
-    out = []
-    k = math.floor(lo * q) + 1
-    while Fraction(k, q) < hi:
-        out.append(Fraction(k, q))
-        k += 1
-    return out
+def _grid_between(lo: Fraction, hi: Fraction, q: int) -> range:
+    """Numerators ``k`` of the grid points ``lo < k/q < hi``, listing none of them."""
+    return range(math.floor(lo * q) + 1, math.ceil(hi * q))
 
 
 def gen_case(signature, seed: int) -> GeneratedCase:
@@ -147,12 +143,12 @@ def gen_case(signature, seed: int) -> GeneratedCase:
         for t, e in enumerate(signature):
             gap = _grid_between(anchors[t], e, q)
             take = rng.randint(0, min(2, len(gap)))
-            exponents.extend(sorted(rng.sample(gap, take)))
+            exponents.extend(Fraction(k, q) for k in sorted(rng.sample(gap, take)))
             exponents.append(e)
             q = e.denominator
     tail = _grid_between(anchors[-1], anchors[-1] + 2, m)
     take = rng.randint(0, min(2, len(tail)))
-    exponents.extend(sorted(rng.sample(tail, take)))
+    exponents.extend(Fraction(k, m) for k in sorted(rng.sample(tail, take)))
 
     terms = [(e, rng.choice(_COEFF_POOL)) for e in exponents]
     coeffs = {int(e * m): c for e, c in terms}

@@ -297,6 +297,26 @@ def test_parentheses_at_the_depth_limit_parse(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_power_of_a_sum_at_the_cap_parses(capsys):
+    start = time.perf_counter()
+    assert run(["polygon", "--a", "(x+y)^32 + (2*x)^1000", "--b", "y"]) == 0
+    assert time.perf_counter() - start < 1
+    assert "side (-1, 2) -- (32, 0)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("power", [33, 1000])
+def test_power_of_a_sum_above_the_cap_exits_2(power, capsys):
+    # (x+y)^1000 took about 9 s to expand before the cap
+    start = time.perf_counter()
+    assert run(["polygon", "--a", "(x+y)^%d" % power, "--b", "y"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: power %d of a sum is above the limit 32 (at position 5)\n" % power
+    )
+
+
 @pytest.mark.parametrize("command", ["expand", "verify", "check-lemmas"])
 def test_flagless_limits_are_the_library_defaults(command):
     assert _limits(build_arg_parser().parse_args([command])) == Limits()
@@ -367,3 +387,20 @@ def test_nineteen_digit_cusp_has_no_rational_branch(child_env):
     assert payload["branches"] == [] and payload["bound_ok"]
     [note] = payload["notes"]
     assert "no rational continuation on side mu=3/2" in note
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_gen_large_exponent_numerator(json_flag, child_env):
+    # the filler exponents are drawn from 10^8 grid points without listing them
+    proc = subprocess.run(
+        [sys.executable, "-m", "puiseuxform", "gen", "--signature", "100000001/2",
+         *json_flag],
+        capture_output=True, text=True, env=child_env, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if json_flag:
+        branch = json.loads(proc.stdout)["branch"]
+        assert branch["r"] == 1 and branch["exact"]
+        assert branch["series"].endswith("x^(100000001/2)")
+    else:
+        assert "x^(100000001/2)" in proc.stdout

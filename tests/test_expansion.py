@@ -47,6 +47,59 @@ def test_rational_roots_frozen():
     assert rational_roots([(0, 2), (1, -7), (2, 6)]) == (Fraction(1, 2), Fraction(2, 3))
 
 
+def test_rational_roots_near_the_lifting_bound():
+    # lead * root is within a factor 2 of B = |lead| + max|a_i|: lifting only
+    # to a modulus above B, or above 2 * max|a_i|, recovers a wrong residue
+    assert rational_roots([(0, 106), (1, 107), (2, 1)]) == (-106, -1)
+    assert rational_roots([(0, -1), (1, -2), (2, 3)]) == (Fraction(-1, 3), 1)
+
+
+def _poly_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+_BIG = st.integers(10**19, 10**22)
+_LINEAR = st.tuples(  # the root +-u/v and its multiplicity
+    st.one_of(_BIG, st.integers(1, 9)), st.one_of(_BIG, st.just(1)),
+    st.booleans(), st.integers(1, 2),
+)
+_QUADRATIC = st.tuples(st.booleans(), st.one_of(_BIG, st.integers(1, 9)))
+
+
+def test_rational_roots_match_sympy_on_large_coefficients():
+    sympy = pytest.importorskip("sympy")
+    c = sympy.Symbol("c")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_LINEAR, max_size=3), st.lists(_QUADRATIC, max_size=2),
+           st.integers(0, 3), _BIG, _BIG)
+    def check(linears, quadratics, jmin, num, den):
+        f = [Fraction(num, den)]
+        for u, v, negative, mult in linears:
+            for _ in range(mult):
+                f = _poly_mul(f, [Fraction(u if negative else -u), Fraction(v)])
+        for minus, s in quadratics:
+            # c^2 - (s^2 + 1) and c^2 + s have no rational root
+            f = _poly_mul(f, [Fraction(-(s * s + 1) if minus else s), 0, 1])
+        pairs = [(j + jmin, a) for j, a in enumerate(f) if a != 0]
+        expected = sorted(
+            Fraction(int(r.p), int(r.q))
+            for r in sympy.Poly(
+                [sympy.Rational(a.numerator, a.denominator) for a in reversed(f)], c
+            ).ground_roots()
+            if r != 0
+        )
+        assert rational_roots(pairs) == tuple(expected)
+        planted = {Fraction(-u if negative else u, v) for u, v, negative, _ in linears}
+        assert planted <= set(expected)
+
+    check()
+
+
 def test_rational_roots_rejects_zero_polynomial():
     with pytest.raises(ValueError):
         rational_roots([(2, 0)])
