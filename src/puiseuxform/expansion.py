@@ -143,7 +143,7 @@ def _eval(f, x):
 
 def _primitive(f) -> list[int]:
     """The integer polynomial with content 1 that is a rational multiple of ``f``."""
-    den = math.lcm(*(Fraction(a).denominator for a in f))
+    den = math.lcm(*(a.denominator for a in f))
     ints = [int(a * den) for a in f]
     content = math.gcd(*ints)
     return [a // content for a in ints]
