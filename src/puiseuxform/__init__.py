@@ -14,9 +14,7 @@ from .algebra import (
     OneForm,
     PuiseuxPoly,
     differential,
-    eval_ramified,
     order,
-    poly_from_pairs,
     rat_str,
     substitute_shift,
     transform_form,
@@ -24,7 +22,6 @@ from .algebra import (
 from .expansion import (
     BoundReport,
     BranchStep,
-    CharPoly,
     CheckOutcome,
     ExpansionResult,
     LemmaReport,
@@ -45,7 +42,6 @@ from .oracle import (
     STANDARD_SIGNATURES,
     GeneratedCase,
     branch_to_curve,
-    brute_hull,
     gen_case,
 )
 from .polygon import (
@@ -68,15 +64,12 @@ __all__ = [
     "OneForm",
     "PuiseuxPoly",
     "differential",
-    "eval_ramified",
     "order",
-    "poly_from_pairs",
     "rat_str",
     "substitute_shift",
     "transform_form",
     "BoundReport",
     "BranchStep",
-    "CharPoly",
     "CheckOutcome",
     "ExpansionResult",
     "LemmaReport",
@@ -95,7 +88,6 @@ __all__ = [
     "STANDARD_SIGNATURES",
     "GeneratedCase",
     "branch_to_curve",
-    "brute_hull",
     "gen_case",
     "CloudPoint",
     "MalformedFormError",

@@ -194,8 +194,9 @@ class PuiseuxPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -288,8 +289,6 @@ def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
     """
     c = Fraction(c)
     mu = Fraction(mu)
-    if mu < 1:
-        raise ValueError("shift exponent mu must be >= 1")
     if c == 0:
         return w
     a2 = substitute_shift(w.a, c, mu)
@@ -302,28 +301,3 @@ def differential(f: PuiseuxPoly) -> OneForm:
     """``df = f_x dx + f_y dy``."""
     return OneForm(f.diff_x(), f.diff_y())
 
-
-def eval_ramified(p: PuiseuxPoly, t0: RatLike, y0: RatLike, ram: int) -> Fraction:
-    """Evaluate ``p`` at ``x = t0**ram, y = y0``; each ``ex * ram`` must be whole."""
-    t0 = Fraction(t0)
-    y0 = Fraction(y0)
-    total = Fraction(0)
-    for (ex, ey), coeff in p.terms.items():
-        k = ex * ram
-        if k.denominator != 1:
-            raise ValueError("exponent %s is off the grid 1/%d" % (ex, ram))
-        total += coeff * t0**k.numerator * y0**ey
-    return total
-
-
-def poly_from_pairs(pairs: Iterable[tuple[RatLike, int, RatLike]]) -> PuiseuxPoly:
-    """Build a polynomial from ``(ex, ey, coeff)`` triples, summed."""
-    acc: dict[TermKey, Fraction] = {}
-    for ex, ey, coeff in pairs:
-        key = (Fraction(ex), int(ey))
-        s = acc.get(key, _ZERO) + Fraction(coeff)
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-    return PuiseuxPoly(acc)

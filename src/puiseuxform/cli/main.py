@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,10 +129,8 @@ def _polygon_payload(w: OneForm, np) -> dict:
                 "start": _pt(s.start),
                 "end": _pt(s.end),
                 "coslope": rat_str(s.coslope),
-                "phi": signed_sum(
-                    (co, power_text("c", j)) for j, co in reversed(phi.coeffs)
-                ),
-                "dicritical": phi.dicritical,
+                "phi": signed_sum((co, power_text("c", j)) for j, co in reversed(phi)),
+                "dicritical": not phi,
             }
         )
     return {
@@ -157,21 +156,20 @@ def _step_payload(s) -> dict:
     }
 
 
-def _branch_payload(b, residual) -> dict:
-    """A branch's payload, with its invariance residual ``residual``."""
+def _branch_payload(b) -> dict:
     return {
         "series": series_text(b.steps),
         "steps": [_step_payload(s) for s in b.steps],
         "r": b.r,
         "exact": b.exact,
         "truncated_at": None if b.truncated_at is None else rat_str(b.truncated_at),
-        "residual": "infinity" if residual is INFINITY else rat_str(residual),
+        "residual": "infinity" if b.residual is INFINITY else rat_str(b.residual),
     }
 
 
 def _expansion_payload(result) -> dict:
     return {
-        "branches": [_branch_payload(b, b.residual) for b in result.branches],
+        "branches": [_branch_payload(b) for b in result.branches],
         "notes": list(result.notes),
     }
 
@@ -324,7 +322,7 @@ def cmd_gen(args) -> int:
         "a": poly_to_text(case.form.a),
         "b": poly_to_text(case.form.b),
         "curve": poly_to_text(case.curve),
-        "r": case.r,
+        "r": case.branch.r,
         "extra_line": None if case.extra_line is None else rat_str(case.extra_line),
     }
     if args.json:
@@ -332,7 +330,7 @@ def cmd_gen(args) -> int:
         # by replaying it.  The replay costs about as much as gen_case, and the
         # text output does not show the residual, so text mode skips it.
         residual = invariance_residual(case.form, case.branch)
-        payload["branch"] = _branch_payload(case.branch, residual)
+        payload["branch"] = _branch_payload(replace(case.branch, residual=residual))
         return _emit_json(payload, 0)
     print("signature:", ", ".join(payload["signature"]) or "(none)")
     print("seed:", payload["seed"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..algebra import OneForm, PuiseuxPoly, power_text, rat_str, signed_sum
@@ -23,6 +24,9 @@ _MAX_NESTING = 200  # three stack frames a level: well below the recursion limit
 # Expanding a power of a sum costs more than linear time in the exponent;
 # a power of a single term is cheap and is not limited.
 _MAX_POWER = 32
+# Most terms a power of a sum or a product of two sums may have, counted
+# before multiplying: (x+y+1)^32 has 561.
+_MAX_TERMS = 1000
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -87,15 +91,19 @@ class _Parser:
 
     def parse_term(self) -> PuiseuxPoly:
         acc = self.parse_factor()
-        while True:
-            kind = self.peek()
-            if kind == "*":
+        while self.peek() in ("*", "int", "var", "("):
+            if self.peek() == "*":
                 self.next()
-                acc = acc * self.parse_factor()
-            elif kind in ("int", "var", "("):
-                acc = acc * self.parse_factor()
-            else:
-                return acc
+            pos = self.here()
+            factor = self.parse_factor()
+            t1, t2 = len(acc.terms), len(factor.terms)
+            if min(t1, t2) > 1 and t1 * t2 > _MAX_TERMS:
+                raise ParseError(
+                    "product of a %d-term and a %d-term sum can have %d terms, "
+                    "above the limit %d" % (t1, t2, t1 * t2, _MAX_TERMS), pos
+                )
+            acc = acc * factor
+        return acc
 
     def parse_factor(self) -> PuiseuxPoly:
         kind = self.peek()
@@ -124,9 +132,16 @@ class _Parser:
             self.depth -= 1
             pos = self.here()
             exp = self.parse_exponent()
-            if exp > _MAX_POWER and len(inner.terms) > 1:
+            t = len(inner.terms)
+            if exp > _MAX_POWER and t > 1:
                 raise ParseError(
                     "power %d of a sum is above the limit %d" % (exp, _MAX_POWER), pos
+                )
+            bound = math.comb(t + exp - 1, exp)
+            if t > 1 and bound > _MAX_TERMS:
+                raise ParseError(
+                    "power %d of a %d-term sum can have %d terms, above the limit %d"
+                    % (exp, t, bound, _MAX_TERMS), pos
                 )
             return inner ** exp
         raise ParseError(

@@ -30,7 +30,6 @@ from typing import NamedTuple
 from .algebra import (
     INFINITY,
     OneForm,
-    RatLike,
     power_text,
     rat_str,
     signed_sum,
@@ -45,23 +44,6 @@ from .polygon import (
     support,
     y_order,
 )
-
-
-@dataclass(frozen=True)
-class CharPoly:
-    """Characteristic polynomial of a support contact.
-
-    ``coeffs`` holds the nonzero ``(j, a_ij + mu*b_(i+1)(j-1))`` pairs,
-    sorted by ``j``; the contact is dicritical when every combination
-    vanishes, i.e. when ``coeffs`` is empty.
-    """
-
-    coeffs: tuple[tuple[int, Fraction], ...]
-    dicritical: bool
-
-    def __call__(self, c: RatLike) -> Fraction:
-        c = Fraction(c)
-        return sum((co * c**j for j, co in self.coeffs), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -123,14 +105,20 @@ class ExpansionResult:
     notes: list[str] = field(default_factory=list)
 
 
-def characteristic_poly(w: OneForm, contact: SupportContact) -> CharPoly:
-    """The polynomial whose nonzero rational roots are admissible coefficients."""
+def characteristic_poly(
+    w: OneForm, contact: SupportContact
+) -> tuple[tuple[int, Fraction], ...]:
+    """The polynomial whose nonzero rational roots are admissible coefficients.
+
+    It is returned as its nonzero ``(j, a_ij + mu*b_(i+1)(j-1))`` pairs,
+    sorted by ``j``; an empty tuple means the contact is dicritical.
+    """
     coeffs = []
     for p in contact.points:
         combo = w.a.coeff(p.i, p.j) + contact.mu * w.b.coeff(p.i + 1, p.j - 1)
         if combo != 0:
             coeffs.append((p.j, combo))
-    return CharPoly(tuple(sorted(coeffs)), not coeffs)
+    return tuple(sorted(coeffs))
 
 
 def _eval(f, x):
@@ -259,10 +247,10 @@ def admissible_steps(
         if not (mu >= 1 if after is None else mu > after):
             continue
         phi = characteristic_poly(w, support(np, mu))
-        if phi.dicritical:
+        if not phi:
             cands += [(mu, Fraction(c), "side", True) for c in limits.dicritical_samples]
             continue
-        roots = rational_roots(phi.coeffs)
+        roots = rational_roots(phi)
         if roots:
             cands += [(mu, c, "side", False) for c in roots]
         else:
@@ -295,27 +283,19 @@ def admissible_steps(
     steps: list[BranchStep] = []
     pruned: list[str] = []
     for mu, c, kind, dicritical in sorted(cands, key=lambda t: (t[0], t[1])):
-        if mu > limits.max_exponent:
-            note = "step mu=%s pruned: exponent beyond limit %s" % (
-                rat_str(mu),
-                rat_str(limits.max_exponent),
-            )
-            if note not in pruned:
-                pruned.append(note)
-            continue
         q_after = math.lcm(q_before, mu.denominator)
-        if q_after > limits.max_ramification:
-            note = "step mu=%s pruned: ramification %d beyond limit %d" % (
-                rat_str(mu),
-                q_after,
-                limits.max_ramification,
+        if mu > limits.max_exponent:
+            why = "exponent beyond limit %s" % rat_str(limits.max_exponent)
+        elif q_after > limits.max_ramification:
+            why = "ramification %d beyond limit %d" % (q_after, limits.max_ramification)
+        else:
+            steps.append(
+                BranchStep(mu, c, q_before, q_after, q_after > q_before, kind, dicritical)
             )
-            if note not in pruned:
-                pruned.append(note)
             continue
-        steps.append(
-            BranchStep(mu, c, q_before, q_after, q_after > q_before, kind, dicritical)
-        )
+        note = "step mu=%s pruned: %s" % (rat_str(mu), why)
+        if note not in pruned:
+            pruned.append(note)
     return StepEnumeration(steps, pruned, dead)
 
 

@@ -12,10 +12,9 @@ other way around, so agreement is meaningful:
   exponents and hands back the differential form, the curve, and the
   expected step list, so the step classifier (characteristic or not) and
   the count r can be tested against a known answer.
-* ``brute_hull`` finds polygon vertices by brute-force minimisation over
-  a finite set of probe co-slopes instead of a chain algorithm.
-* ``substituted_residual`` computes a branch's invariance residual by
-  substituting the series into the form, not by replaying its shifts.
+* ``STANDARD_SIGNATURES`` lists the eight signatures of the planted corpus.
+
+The reference oracles that only the tests call live in ``tests/reference.py``.
 
 Nothing in this module calls the polygon hull or the branch search.
 """
@@ -29,7 +28,6 @@ from fractions import Fraction
 
 from .algebra import INFINITY, OneForm, PuiseuxPoly, differential
 from .expansion import BranchStep, PuiseuxBranch
-from .polygon import CloudPoint
 
 
 def branch_to_curve(coeffs: dict[int, Fraction], m: int) -> PuiseuxPoly:
@@ -78,7 +76,6 @@ class GeneratedCase:
     form: OneForm
     curve: PuiseuxPoly
     branch: PuiseuxBranch
-    r: int
     extra_line: Fraction | None  # slope of a smooth factor added when m = 1
 
 
@@ -170,7 +167,7 @@ def gen_case(signature, seed: int) -> GeneratedCase:
         steps.append(BranchStep(e, c, q, q_after, q_after > q, "unknown", False))
         q = q_after
     branch = PuiseuxBranch(tuple(steps), len(signature), None, INFINITY)
-    return GeneratedCase(signature, seed, form, curve, branch, len(signature), extra_line)
+    return GeneratedCase(signature, seed, form, curve, branch, extra_line)
 
 
 STANDARD_SIGNATURES: tuple[tuple[Fraction, ...], ...] = (
@@ -184,77 +181,3 @@ STANDARD_SIGNATURES: tuple[tuple[Fraction, ...], ...] = (
     (Fraction(3, 2), Fraction(7, 4), Fraction(15, 8)),
 )
 
-
-def brute_hull(points) -> tuple[tuple[CloudPoint, ...], tuple[Fraction, ...]]:
-    """Lower-left hull by exhaustive support-line probing.
-
-    A point is a vertex exactly when it is the unique minimiser of
-    i + mu * j for some co-slope mu > 0.  Probing every pairwise
-    critical co-slope, the midpoints between consecutive ones, and one
-    value beyond each end finds them all, because the minimiser set is
-    constant on the open intervals between critical values.  Quadratic
-    and only for tests; refuses more than 50 points.
-    """
-    pts = sorted(set(CloudPoint(Fraction(i), int(j)) for i, j in points))
-    if not pts:
-        raise ValueError("empty cloud")
-    if len(pts) > 50:
-        raise ValueError("brute_hull is for small test clouds only")
-
-    crit = sorted(
-        {
-            Fraction(q.i - p.i, p.j - q.j)
-            for p in pts
-            for q in pts
-            if p.j != q.j and Fraction(q.i - p.i, p.j - q.j) > 0
-        }
-    )
-    probes = set(crit)
-    for u, v in zip(crit, crit[1:]):
-        probes.add((u + v) / 2)
-    if crit:
-        probes.add(crit[0] / 2)
-        probes.add(crit[-1] + 1)
-    else:
-        probes.add(Fraction(1))
-
-    vertices = set()
-    for mu in sorted(probes):
-        best = min(p.i + mu * p.j for p in pts)
-        argmin = [p for p in pts if p.i + mu * p.j == best]
-        if len(argmin) == 1:
-            vertices.add(argmin[0])
-
-    ordered = tuple(sorted(vertices))
-    coslopes = tuple(
-        Fraction(v2.i - v1.i, v1.j - v2.j) for v1, v2 in zip(ordered, ordered[1:])
-    )
-    return ordered, coslopes
-
-
-def substituted_residual(w: OneForm, branch: PuiseuxBranch):
-    """x-valuation of ``a(x, Gamma) + b(x, Gamma) * Gamma'(x)``.
-
-    Returns ``INFINITY`` when the branch is exactly invariant.
-    """
-    gamma = PuiseuxPoly()
-    dgamma = PuiseuxPoly()
-    for s in branch.steps:
-        if s.c == 0:
-            continue
-        gamma = gamma + PuiseuxPoly.monomial(s.c, s.mu)
-        dgamma = dgamma + PuiseuxPoly.monomial(s.c * s.mu, s.mu - 1)
-    total = _substitute_y(w.a, gamma) + _substitute_y(w.b, gamma) * dgamma
-    if total.is_zero():
-        return INFINITY
-    return min(ex for (ex, _ey) in total.terms)
-
-
-def _substitute_y(p: PuiseuxPoly, gamma: PuiseuxPoly) -> PuiseuxPoly:
-    powers = {0: PuiseuxPoly.monomial(1)}
-    acc = PuiseuxPoly()
-    for (ex, ey), coeff in p.items():
-        if ey not in powers:
-            powers[ey] = gamma**ey
-        acc = acc + PuiseuxPoly.monomial(coeff, ex) * powers[ey]
-    return acc

@@ -1,0 +1,127 @@
+"""Reference implementations that only the tests use.
+
+Each one computes what a pipeline function computes, by another route, so
+agreement between the two is meaningful:
+
+* ``brute_hull`` finds polygon vertices by brute-force minimisation over
+  a finite set of probe co-slopes instead of a chain algorithm.
+* ``substituted_residual`` computes a branch's invariance residual by
+  substituting the series into the form, not by replaying its shifts.
+* ``eval_ramified`` evaluates a polynomial at a point of the ramified
+  grid, so identities can be checked numerically.
+* ``poly_from_pairs`` builds a polynomial from ``(ex, ey, coeff)`` triples.
+
+Nothing here calls the polygon hull or the branch search.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable
+
+from puiseuxform.algebra import INFINITY, OneForm, PuiseuxPoly, RatLike, TermKey
+from puiseuxform.expansion import PuiseuxBranch
+from puiseuxform.polygon import CloudPoint
+
+_ZERO = Fraction(0)
+
+
+def brute_hull(points) -> tuple[tuple[CloudPoint, ...], tuple[Fraction, ...]]:
+    """Lower-left hull by exhaustive support-line probing.
+
+    A point is a vertex exactly when it is the unique minimiser of
+    i + mu * j for some co-slope mu > 0.  Probing every pairwise
+    critical co-slope, the midpoints between consecutive ones, and one
+    value beyond each end finds them all, because the minimiser set is
+    constant on the open intervals between critical values.  Quadratic
+    and only for tests; refuses more than 50 points.
+    """
+    pts = sorted(set(CloudPoint(Fraction(i), int(j)) for i, j in points))
+    if not pts:
+        raise ValueError("empty cloud")
+    if len(pts) > 50:
+        raise ValueError("brute_hull is for small test clouds only")
+
+    crit = sorted(
+        {
+            Fraction(q.i - p.i, p.j - q.j)
+            for p in pts
+            for q in pts
+            if p.j != q.j and Fraction(q.i - p.i, p.j - q.j) > 0
+        }
+    )
+    probes = set(crit)
+    for u, v in zip(crit, crit[1:]):
+        probes.add((u + v) / 2)
+    if crit:
+        probes.add(crit[0] / 2)
+        probes.add(crit[-1] + 1)
+    else:
+        probes.add(Fraction(1))
+
+    vertices = set()
+    for mu in sorted(probes):
+        best = min(p.i + mu * p.j for p in pts)
+        argmin = [p for p in pts if p.i + mu * p.j == best]
+        if len(argmin) == 1:
+            vertices.add(argmin[0])
+
+    ordered = tuple(sorted(vertices))
+    coslopes = tuple(
+        Fraction(v2.i - v1.i, v1.j - v2.j) for v1, v2 in zip(ordered, ordered[1:])
+    )
+    return ordered, coslopes
+
+
+def substituted_residual(w: OneForm, branch: PuiseuxBranch):
+    """x-valuation of ``a(x, Gamma) + b(x, Gamma) * Gamma'(x)``.
+
+    Returns ``INFINITY`` when the branch is exactly invariant.
+    """
+    gamma = PuiseuxPoly()
+    dgamma = PuiseuxPoly()
+    for s in branch.steps:
+        if s.c == 0:
+            continue
+        gamma = gamma + PuiseuxPoly.monomial(s.c, s.mu)
+        dgamma = dgamma + PuiseuxPoly.monomial(s.c * s.mu, s.mu - 1)
+    total = _substitute_y(w.a, gamma) + _substitute_y(w.b, gamma) * dgamma
+    if total.is_zero():
+        return INFINITY
+    return min(ex for (ex, _ey) in total.terms)
+
+
+def _substitute_y(p: PuiseuxPoly, gamma: PuiseuxPoly) -> PuiseuxPoly:
+    powers = {0: PuiseuxPoly.monomial(1)}
+    acc = PuiseuxPoly()
+    for (ex, ey), coeff in p.items():
+        if ey not in powers:
+            powers[ey] = gamma**ey
+        acc = acc + PuiseuxPoly.monomial(coeff, ex) * powers[ey]
+    return acc
+
+
+def eval_ramified(p: PuiseuxPoly, t0: RatLike, y0: RatLike, ram: int) -> Fraction:
+    """Evaluate ``p`` at ``x = t0**ram, y = y0``; each ``ex * ram`` must be whole."""
+    t0 = Fraction(t0)
+    y0 = Fraction(y0)
+    total = Fraction(0)
+    for (ex, ey), coeff in p.terms.items():
+        k = ex * ram
+        if k.denominator != 1:
+            raise ValueError("exponent %s is off the grid 1/%d" % (ex, ram))
+        total += coeff * t0**k.numerator * y0**ey
+    return total
+
+
+def poly_from_pairs(pairs: Iterable[tuple[RatLike, int, RatLike]]) -> PuiseuxPoly:
+    """Build a polynomial from ``(ex, ey, coeff)`` triples, summed."""
+    acc: dict[TermKey, Fraction] = {}
+    for ex, ey, coeff in pairs:
+        key = (Fraction(ex), int(ey))
+        s = acc.get(key, _ZERO) + Fraction(coeff)
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return PuiseuxPoly(acc)

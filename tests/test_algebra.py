@@ -10,13 +10,12 @@ from puiseuxform import (
     OneForm,
     PuiseuxPoly,
     differential,
-    eval_ramified,
     order,
-    poly_from_pairs,
     rat_str,
     substitute_shift,
     transform_form,
 )
+from reference import eval_ramified, poly_from_pairs
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
@@ -75,6 +74,30 @@ def test_arithmetic_identities():
     assert p**0 == PuiseuxPoly.monomial(1)
     assert p**3 == p * p * p
     assert 1 - Y == PuiseuxPoly.monomial(1) - Y
+
+
+@pytest.mark.parametrize("n, products", [(1, 1), (32, 6)])
+def test_power_squares_only_while_bits_remain(n, products, monkeypatch):
+    # p**32 is five squarings and one product with 1; a sixth square is waste
+    p = X + Y
+    calls = []
+    mul = PuiseuxPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(PuiseuxPoly, "__mul__", counting)
+    p**n
+    assert len(calls) == products
+
+
+def test_power_equals_repeated_multiplication():
+    p = X - 2 * Y + Fraction(1, 3) * X * Y
+    acc = PuiseuxPoly.monomial(1)
+    for n in range(10):
+        assert p**n == acc
+        acc = acc * p
 
 
 def test_diff_x_uses_true_fractional_derivative():

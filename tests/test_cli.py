@@ -317,6 +317,34 @@ def test_power_of_a_sum_above_the_cap_exits_2(power, capsys):
     )
 
 
+def test_power_of_a_three_term_sum_at_the_cap_parses(capsys):
+    # 561 terms; took 3.9 s while the power made one square too many
+    start = time.perf_counter()
+    assert run(["polygon", "--a", "(x+y+1)^32 - 1", "--b", "y"]) == 0
+    assert time.perf_counter() - start < 1
+    assert "side (-1, 2) -- (1, 0)  co-slope 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "a, err",
+    [
+        # took 20 s: the outer power is within the cap, but of a 33-term sum
+        ("((x+y)^32)^32", "power 32 of a 33-term sum can have 1832624140942590534 "
+         "terms, above the limit 1000 (at position 10)"),
+        # took 31 s to parse
+        ("(x+y+x*y+x^2+y^2)^32", "power 32 of a 5-term sum can have 58905 terms, "
+         "above the limit 1000 (at position 17)"),
+        ("(x+y)^31*(x-y)^31", "product of a 32-term and a 32-term sum can have "
+         "1024 terms, above the limit 1000 (at position 9)"),
+    ],
+)
+def test_expansions_with_too_many_terms_exit_2(a, err, capsys):
+    start = time.perf_counter()
+    assert run(["polygon", "--a", a, "--b", "y"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: %s\n" % err)
+
+
 @pytest.mark.parametrize("command", ["expand", "verify", "check-lemmas"])
 def test_flagless_limits_are_the_library_defaults(command):
     assert _limits(build_arg_parser().parse_args([command])) == Limits()

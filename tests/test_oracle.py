@@ -10,14 +10,12 @@ from puiseuxform import (
     PuiseuxPoly,
     STANDARD_SIGNATURES,
     branch_to_curve,
-    brute_hull,
-    eval_ramified,
     expand_branches,
     gen_case,
     newton_polygon,
     order,
 )
-from puiseuxform.oracle import substituted_residual
+from reference import brute_hull, eval_ramified, substituted_residual
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
@@ -132,7 +130,7 @@ def test_gen_case_plants_the_signature():
     case = gen_case(sig, 3)
     char_steps = [s.mu for s in case.branch.steps if s.characteristic]
     assert char_steps == list(sig)
-    assert case.r == 2
+    assert case.branch.r == 2
     assert case.branch.exact
     # the planted branch is exactly invariant for the generated form
     assert substituted_residual(case.form, case.branch) is INFINITY

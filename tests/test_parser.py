@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puiseuxform import PuiseuxPoly, poly_from_pairs
+from puiseuxform import PuiseuxPoly
 from puiseuxform.cli.parser import (
     FormError,
     ParseError,
@@ -12,6 +12,7 @@ from puiseuxform.cli.parser import (
     parse_poly,
     poly_to_text,
 )
+from reference import poly_from_pairs
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)

@@ -11,11 +11,11 @@ from puiseuxform import (
     PuiseuxPoly,
     multiplicity,
     newton_polygon,
-    poly_from_pairs,
     polygon_of,
     support,
     y_order,
 )
+from reference import poly_from_pairs
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
