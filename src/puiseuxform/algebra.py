@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, NamedTuple, Tuple, Union
 
 RatLike = Union[int, str, Fraction]
 
@@ -231,22 +231,11 @@ class PuiseuxPoly:
         return PuiseuxPoly(acc)
 
 
-class OneForm:
+class OneForm(NamedTuple):
     """The 1-form ``a(x, y) dx + b(x, y) dy``."""
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: PuiseuxPoly, b: PuiseuxPoly):
-        self.a = a
-        self.b = b
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __repr__(self) -> str:
-        return "OneForm(a=%r, b=%r)" % (self.a, self.b)
+    a: PuiseuxPoly
+    b: PuiseuxPoly
 
 
 def order(p: PuiseuxPoly):

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -330,7 +329,7 @@ def cmd_gen(args) -> int:
         # by replaying it.  The replay costs about as much as gen_case, and the
         # text output does not show the residual, so text mode skips it.
         residual = invariance_residual(case.form, case.branch)
-        payload["branch"] = _branch_payload(replace(case.branch, residual=residual))
+        payload["branch"] = _branch_payload(case.branch._replace(residual=residual))
         return _emit_json(payload, 0)
     print("signature:", ", ".join(payload["signature"]) or "(none)")
     print("seed:", payload["seed"])

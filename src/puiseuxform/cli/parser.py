@@ -22,11 +22,34 @@ _SYMBOLS = {"+", "-", "*", "/", "^", "(", ")"}
 
 _MAX_NESTING = 200  # three stack frames a level: well below the recursion limit
 # Expanding a power of a sum costs more than linear time in the exponent;
-# a power of a single term is cheap and is not limited.
+# a power of a single term costs only the bits of its coefficient.
 _MAX_POWER = 32
 # Most terms a power of a sum or a product of two sums may have, counted
 # before multiplying: (x+y+1)^32 has 561.
 _MAX_TERMS = 1000
+# Most term products one parse may make over all its products and powers:
+# (x+y+1)^32 makes at most 26265, so two of them are refused.
+_MAX_WORK = 50000
+# Most bits a power may give a coefficient: (2*x)^1000 needs 1000.
+_MAX_BITS = 1000
+
+
+def _power_work(t: int, n: int) -> int:
+    """Most term products ``p ** n`` makes for a ``t``-term sum ``p``.
+
+    It squares and multiplies as ``PuiseuxPoly.__pow__`` does, and
+    ``p ** k`` has at most ``comb(t + k - 1, k)`` terms.
+    """
+    work, have, k = 0, 0, 1  # the result is p ** have, the base p ** k
+    while n:
+        if n & 1:
+            work += math.comb(t + have - 1, have) * math.comb(t + k - 1, k)
+            have += k
+        n >>= 1
+        if n:
+            work += math.comb(t + k - 1, k) ** 2
+            k *= 2
+    return work
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -58,6 +81,15 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # parentheses currently open
+        self.work = 0  # term products charged so far
+
+    def charge(self, work: int, pos: int) -> None:
+        self.work += work
+        if self.work > _MAX_WORK:
+            raise ParseError(
+                "expanding the input takes %d term products, above the limit %d"
+                % (self.work, _MAX_WORK), pos
+            )
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -79,15 +111,18 @@ class _Parser:
         return self.next()
 
     def parse_expr(self) -> PuiseuxPoly:
-        acc = PuiseuxPoly()
-        sign = Fraction(1)
+        # one dict sums the terms: adding each term to a polynomial copies
+        # the polynomial, so a sum of n terms took time quadratic in n
+        acc: dict = {}
+        sign = -1 if self.peek() == "-" else 1
         if self.peek() in ("+", "-"):
-            sign = Fraction(-1) if self.next()[0] == "-" else Fraction(1)
-        acc = acc + sign * self.parse_term()
-        while self.peek() in ("+", "-"):
-            sign = Fraction(-1) if self.next()[0] == "-" else Fraction(1)
-            acc = acc + sign * self.parse_term()
-        return acc
+            self.next()
+        while True:
+            for key, c in self.parse_term().terms.items():
+                acc[key] = acc.get(key, 0) + sign * c
+            if self.peek() not in ("+", "-"):
+                return PuiseuxPoly(acc)
+            sign = -1 if self.next()[0] == "-" else 1
 
     def parse_term(self) -> PuiseuxPoly:
         acc = self.parse_factor()
@@ -102,6 +137,7 @@ class _Parser:
                     "product of a %d-term and a %d-term sum can have %d terms, "
                     "above the limit %d" % (t1, t2, t1 * t2, _MAX_TERMS), pos
                 )
+            self.charge(t1 * t2, pos)
             acc = acc * factor
         return acc
 
@@ -143,6 +179,18 @@ class _Parser:
                     "power %d of a %d-term sum can have %d terms, above the limit %d"
                     % (exp, t, bound, _MAX_TERMS), pos
                 )
+            # ceil(log2 |v|) is (|v| - 1).bit_length(), so a coefficient
+            # of absolute value 1 stays 1 under any power
+            bits = exp * max(
+                ((abs(v) - 1).bit_length() for c in inner.terms.values()
+                 for v in (c.numerator, c.denominator)), default=0)
+            if bits > _MAX_BITS:
+                raise ParseError(
+                    "power %d can give a coefficient of %d bits, above the limit %d"
+                    % (exp, bits, _MAX_BITS), pos
+                )
+            if t > 1:
+                self.charge(_power_work(t, exp), pos)
             return inner ** exp
         raise ParseError(
             "expected a number, variable or '(', found %r"

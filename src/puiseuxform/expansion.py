@@ -14,16 +14,16 @@ When Phi vanishes identically the step is dicritical: every coefficient
 works and configured sample values stand in for the family.
 
 The expansion tracks the accumulated ramification q (lcm of the exponent
-denominators seen so far).  A step is characteristic when it makes q grow;
-the count r of characteristic steps is the number of Puiseux exponents of
-the branch, and ``verify_bound`` checks r <= y-order <= multiplicity.
+denominators of the nonzero terms so far).  A step is characteristic when
+it makes q grow; the count r of characteristic steps is the number of
+Puiseux exponents of the branch, and ``verify_bound`` checks
+r <= y-order <= multiplicity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -46,26 +46,34 @@ from .polygon import (
 )
 
 
-@dataclass(frozen=True)
-class BranchStep:
+class BranchStep(NamedTuple):
     """One accepted term ``c * x^mu`` of a branch."""
 
     mu: Fraction
     c: Fraction
     q_before: int
-    q_after: int  # lcm(q_before, denominator(mu))
-    characteristic: bool  # q_after > q_before
-    contact_kind: str  # "vertex" | "side" ("unknown" for planted branches)
+    contact: SupportContact | None  # where the step was taken; None if planted
     dicritical: bool
 
+    @property
+    def q_after(self) -> int:
+        """The grid after the step; a zero term does not enlarge it."""
+        return math.lcm(self.q_before, self.mu.denominator) if self.c else self.q_before
 
-@dataclass(frozen=True)
-class PuiseuxBranch:
+    @property
+    def characteristic(self) -> bool:
+        return self.q_after > self.q_before
+
+    @property
+    def contact_kind(self) -> str:
+        """``"vertex"`` or ``"side"``, and ``"unknown"`` for a planted step."""
+        return "unknown" if self.contact is None else self.contact.kind
+
+
+class PuiseuxBranch(NamedTuple):
     """A maximal or truncated invariant-branch expansion."""
 
     steps: tuple[BranchStep, ...]
-    r: int  # number of characteristic steps
-    truncated_at: Fraction | None  # last reached exponent when not exact
     residual: object  # ord_x(a(x, Gamma) + b(x, Gamma) * Gamma'), or INFINITY
 
     @property
@@ -73,9 +81,18 @@ class PuiseuxBranch:
         """The remaining tail is identically zero."""
         return self.residual is INFINITY
 
+    @property
+    def r(self) -> int:
+        """The number of characteristic steps."""
+        return sum(1 for s in self.steps if s.characteristic)
 
-@dataclass(frozen=True)
-class Limits:
+    @property
+    def truncated_at(self) -> Fraction | None:
+        """The last reached exponent when not exact."""
+        return None if self.exact or not self.steps else self.steps[-1].mu
+
+
+class Limits(NamedTuple):
     """Expansion cut-offs and the dicritical sampling policy."""
 
     max_exponent: Fraction = Fraction(40)
@@ -85,14 +102,12 @@ class Limits:
 
 
 class TraceStep(NamedTuple):
-    contact: SupportContact  # the support contact the step was taken on
     step: BranchStep
     form_after: OneForm
     polygon_after: NewtonPolygon  # polygon_of(form_after), built by the search
 
 
-@dataclass
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     """Branches plus instrumentation from one expansion run.
 
     ``traces`` holds every maximal search path (including rational dead
@@ -100,9 +115,9 @@ class ExpansionResult:
     records dead ends and pruning, in deterministic search order.
     """
 
-    branches: list[PuiseuxBranch] = field(default_factory=list)
-    traces: list[tuple[TraceStep, ...]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    branches: list[PuiseuxBranch]
+    traces: list[tuple[TraceStep, ...]]
+    notes: list[str]
 
 
 def characteristic_poly(
@@ -209,8 +224,7 @@ def rational_roots(coeffs) -> tuple[Fraction, ...]:
     return tuple(sorted(roots))
 
 
-@dataclass
-class StepEnumeration:
+class StepEnumeration(NamedTuple):
     """The candidate steps at one search node, and why others were dropped."""
 
     steps: list[BranchStep]
@@ -231,28 +245,44 @@ def admissible_steps(
     (``mu >= 1`` at the root, where ``after`` is None), contribute the
     rational roots of their characteristic polynomial, or sampled
     coefficients when dicritical; eligible vertices contribute dicritical
-    steps.  Steps beyond the limits are pruned.  The returned enumeration
-    also notes the pruned candidates and the rational dead ends.  ``np``
-    is the polygon of ``w`` when the caller already holds it.
+    steps.  Each step keeps the support contact it was taken on.  Steps
+    beyond the limits are pruned.  The returned enumeration also notes the
+    pruned candidates and the rational dead ends.  ``np`` is the polygon of
+    ``w`` when the caller already holds it.
     """
     if after is not None and after < 1:
         raise ValueError("after must be >= 1")
     limits = limits or Limits()
     np = np if np is not None else polygon_of(w)
-    cands: list[tuple[Fraction, Fraction, str, bool]] = []
-    dead: list[str] = []
 
-    for side in np.sides:
-        mu = side.coslope
+    # A side offers its co-slope.  A vertex (i, j) offers the single
+    # co-slope solving a_ij + mu*b_(i+1)(j-1) = 0, provided that co-slope
+    # lies in the open interior of the vertex's supporting interval: the
+    # vertex is then the whole contact, so Phi vanishes and every
+    # coefficient works.
+    mus = [side.coslope for side in np.sides]
+    for idx, v in enumerate(np.vertices):
+        b_co = w.b.coeff(v.i + 1, v.j - 1)  # zero when j = 0
+        if b_co == 0:
+            continue
+        mu = -w.a.coeff(v.i, v.j) / b_co
+        lo = np.sides[idx - 1].coslope if idx > 0 else None
+        hi = np.sides[idx].coslope if idx < len(np.sides) else None
+        if (lo is None or mu > lo) and (hi is None or mu < hi):
+            mus.append(mu)
+
+    cands: list[BranchStep] = []
+    dead: list[str] = []
+    for mu in mus:
         if not (mu >= 1 if after is None else mu > after):
             continue
-        phi = characteristic_poly(w, support(np, mu))
+        contact = support(np, mu)
+        phi = characteristic_poly(w, contact)
         if not phi:
-            cands += [(mu, Fraction(c), "side", True) for c in limits.dicritical_samples]
-            continue
-        roots = rational_roots(phi)
-        if roots:
-            cands += [(mu, c, "side", False) for c in roots]
+            cands += [BranchStep(mu, Fraction(c), q_before, contact, True)
+                      for c in limits.dicritical_samples]
+        elif roots := rational_roots(phi):
+            cands += [BranchStep(mu, c, q_before, contact, False) for c in roots]
         else:
             dead.append(
                 "no rational continuation on side mu=%s "
@@ -260,40 +290,18 @@ def admissible_steps(
                 % rat_str(mu)
             )
 
-    # A vertex (i, j) supports a step at the single co-slope solving
-    # a_ij + mu*b_(i+1)(j-1) = 0, provided that co-slope lies in the open
-    # interior of the vertex's supporting interval; every coefficient works.
-    for idx, v in enumerate(np.vertices):
-        if v.j < 1:
-            continue
-        b_co = w.b.coeff(v.i + 1, v.j - 1)
-        if b_co == 0:
-            continue
-        mu = -w.a.coeff(v.i, v.j) / b_co
-        lo = np.sides[idx - 1].coslope if idx > 0 else None
-        hi = np.sides[idx].coslope if idx < len(np.sides) else None
-        if lo is not None and not mu > lo:
-            continue
-        if hi is not None and not mu < hi:
-            continue
-        if not (mu >= 1 if after is None else mu > after):
-            continue
-        cands += [(mu, Fraction(c), "vertex", True) for c in limits.dicritical_samples]
-
     steps: list[BranchStep] = []
     pruned: list[str] = []
-    for mu, c, kind, dicritical in sorted(cands, key=lambda t: (t[0], t[1])):
-        q_after = math.lcm(q_before, mu.denominator)
-        if mu > limits.max_exponent:
+    for step in sorted(cands, key=lambda s: (s.mu, s.c)):
+        if step.mu > limits.max_exponent:
             why = "exponent beyond limit %s" % rat_str(limits.max_exponent)
-        elif q_after > limits.max_ramification:
-            why = "ramification %d beyond limit %d" % (q_after, limits.max_ramification)
+        elif step.q_after > limits.max_ramification:
+            why = "ramification %d beyond limit %d" % (
+                step.q_after, limits.max_ramification)
         else:
-            steps.append(
-                BranchStep(mu, c, q_before, q_after, q_after > q_before, kind, dicritical)
-            )
+            steps.append(step)
             continue
-        note = "step mu=%s pruned: %s" % (rat_str(mu), why)
+        note = "step mu=%s pruned: %s" % (rat_str(step.mu), why)
         if note not in pruned:
             pruned.append(note)
     return StepEnumeration(steps, pruned, dead)
@@ -335,18 +343,17 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
     """
     limits = limits or Limits()
     _validate_expandable(w)
-    result = ExpansionResult()
+    result = ExpansionResult([], [], [])
     capped = False
 
-    # stack entries: (trace, contact, step, form); step is the one that led
-    # to form and contact where it touched the parent polygon (both None at
-    # the root).  The step's trace entry is made on pop, with the polygon.
-    stack = [((), None, None, w)]
+    # stack entries: (trace, step, form); step is the one that led to form
+    # (None at the root).  Its trace entry is made on pop, with the polygon.
+    stack = [((), None, w)]
     while stack and not capped:
-        trace, contact, step, form = stack.pop()
+        trace, step, form = stack.pop()
         np = polygon_of(form)
         if step is not None:
-            trace += (TraceStep(contact, step, form, np),)
+            trace += (TraceStep(step, form, np),)
         steps = tuple(e.step for e in trace)
         q, after = (step.q_after, step.mu) if step else (1, None)
         enum = admissible_steps(form, q, after, limits, np)
@@ -357,7 +364,7 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
             notes = ["dead end: no admissible steps"]
         if notes:
             prefix = series_text(steps)
-            result.notes += ["[y ~ %s] %s" % (prefix, note) for note in notes]
+            result.notes.extend("[y ~ %s] %s" % (prefix, note) for note in notes)
         emits = (not any(s.dicritical for s in enum.steps) if exact
                  else bool(enum.pruned) and not enum.steps)
         capped = emits and len(result.branches) >= limits.max_branches
@@ -366,15 +373,11 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
                 "branch limit %d reached; enumeration truncated" % limits.max_branches
             )
         elif emits:
-            r = sum(1 for s in steps if s.characteristic)
-            truncated_at = None if exact or step is None else step.mu
-            result.branches.append(PuiseuxBranch(steps, r, truncated_at, residual))
+            result.branches.append(PuiseuxBranch(steps, residual))
         if trace and not enum.steps:
             result.traces.append(trace)
         for child in reversed(enum.steps):
-            contact = support(np, child.mu)
-            form2 = transform_form(form, child.c, child.mu)
-            stack.append((trace, contact, child, form2))
+            stack.append((trace, child, transform_form(form, child.c, child.mu)))
     return result
 
 
@@ -397,8 +400,7 @@ class CheckOutcome(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
-class StepLemmaReport:
+class StepLemmaReport(NamedTuple):
     mu: Fraction
     l1: CheckOutcome
     l2: CheckOutcome
@@ -412,8 +414,7 @@ class StepLemmaReport:
         )
 
 
-@dataclass
-class LemmaReport:
+class LemmaReport(NamedTuple):
     steps: list[StepLemmaReport]
 
     @property
@@ -452,8 +453,8 @@ def lemma_checks(trace) -> LemmaReport:
     entries = []
     for entry in trace:
         step = entry.step
-        P = entry.contact.highest
-        tau = entry.contact.tau
+        P = step.contact.highest
+        tau = step.contact.tau
         np_after = entry.polygon_after
         mu_next = step.mu + Fraction(1, m_hat)
 
@@ -468,7 +469,7 @@ def lemma_checks(trace) -> LemmaReport:
             l1 = CheckOutcome("vacuous", "no j=0 cloud point")
 
         s = step.q_after // step.q_before
-        l3_applies = s > 1 and P.j > 1 and step.c != 0
+        l3_applies = s > 1 and P.j > 1
         on_side = support(np_after, step.mu).kind == "side"
         nxt = support(np_after, mu_next) if on_side or l3_applies else None
         if on_side:
@@ -500,8 +501,7 @@ def lemma_checks(trace) -> LemmaReport:
     return LemmaReport(entries)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     max_r: int
     y_order: int
     multiplicity: int

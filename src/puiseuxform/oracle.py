@@ -10,8 +10,8 @@ other way around, so agreement is meaningful:
   d(f) must then rediscover the branch term by term.
 * ``gen_case`` plants a branch with a prescribed ladder of characteristic
   exponents and hands back the differential form, the curve, and the
-  expected step list, so the step classifier (characteristic or not) and
-  the count r can be tested against a known answer.
+  expected step list, so the steps the expansion finds, and the
+  characteristic exponents among them, can be tested against a known answer.
 * ``STANDARD_SIGNATURES`` lists the eight signatures of the planted corpus.
 
 The reference oracles that only the tests call live in ``tests/reference.py``.
@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import INFINITY, OneForm, PuiseuxPoly, differential
 from .expansion import BranchStep, PuiseuxBranch
@@ -69,8 +69,7 @@ def branch_to_curve(coeffs: dict[int, Fraction], m: int) -> PuiseuxPoly:
     )
 
 
-@dataclass(frozen=True)
-class GeneratedCase:
+class GeneratedCase(NamedTuple):
     signature: tuple[Fraction, ...]
     seed: int
     form: OneForm
@@ -160,13 +159,10 @@ def gen_case(signature, seed: int) -> GeneratedCase:
         )
     form = differential(curve)
 
-    steps = []
-    q = 1
+    steps: list[BranchStep] = []
     for e, c in terms:
-        q_after = math.lcm(q, e.denominator)
-        steps.append(BranchStep(e, c, q, q_after, q_after > q, "unknown", False))
-        q = q_after
-    branch = PuiseuxBranch(tuple(steps), len(signature), None, INFINITY)
+        steps.append(BranchStep(e, c, steps[-1].q_after if steps else 1, None, False))
+    branch = PuiseuxBranch(tuple(steps), INFINITY)
     return GeneratedCase(signature, seed, form, curve, branch, extra_line)
 
 

@@ -13,7 +13,6 @@ polygon where ``i + mu*j`` is minimal over the cloud; the minimum is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -35,8 +34,7 @@ class Side(NamedTuple):
     coslope: Fraction  # the side lies on i + coslope*j = const
 
 
-@dataclass(frozen=True)
-class SupportContact:
+class SupportContact(NamedTuple):
     """Where the support line of co-slope ``mu`` touches the polygon.
 
     ``points`` is the full argmin set of ``i + mu*j`` over the cloud,
@@ -52,8 +50,7 @@ class SupportContact:
     highest: CloudPoint
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     cloud: tuple[CloudPoint, ...]
     vertices: tuple[CloudPoint, ...]
     sides: tuple[Side, ...]

@@ -1,5 +1,11 @@
 """The package's public names: ``__all__`` resolves, the reference oracles stay out."""
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 import puiseuxform
@@ -28,3 +34,29 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("module", [puiseuxform, algebra, expansion, oracle])
 def test_test_only_code_is_not_shipped(module):
     assert [name for name in MOVED_TO_REFERENCE if hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (puiseuxform.PuiseuxBranch((), 2), "residual"),
+        (puiseuxform.BranchStep(Fraction(3, 2), Fraction(1), 1, None, False), "c"),
+        (puiseuxform.Limits(), "max_ramification"),
+        (puiseuxform.newton_polygon([(2, 0), (-1, 2)]), "sides"),
+        (puiseuxform.OneForm(puiseuxform.PuiseuxPoly(), puiseuxform.PuiseuxPoly()), "a"),
+    ],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_the_cli_does_not_import_dataclasses():
+    # importing dataclasses also loads inspect, ast, dis and tokenize
+    code = "import sys, puiseuxform.cli.main; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(puiseuxform.__file__).parents[1])),
+    )
+    assert proc.stdout == "False\n"

@@ -345,6 +345,26 @@ def test_expansions_with_too_many_terms_exit_2(a, err, capsys):
     assert capsys.readouterr() == ("", "error: %s\n" % err)
 
 
+@pytest.mark.parametrize(
+    "a, b, err",
+    [
+        # each power is within the term cap; parsing all eight took 1.75 s
+        (" + ".join("(x+%d*y+1)^32" % k for k in range(1, 9)), "y",
+         "expanding the input takes 52532 term products, above the limit 50000 "
+         "(at position 24)"),
+        # took 8.6 s and built a 125 MB coefficient
+        ("(2*x)^1000000000*y", "x^2",
+         "power 1000000000 can give a coefficient of 1000000000 bits, above the "
+         "limit 1000 (at position 5)"),
+    ],
+)
+def test_parses_beyond_the_work_or_bit_budget_exit_2(a, b, err, capsys):
+    start = time.perf_counter()
+    assert run(["polygon", "--a", a, "--b", b]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: %s\n" % err)
+
+
 @pytest.mark.parametrize("command", ["expand", "verify", "check-lemmas"])
 def test_flagless_limits_are_the_library_defaults(command):
     assert _limits(build_arg_parser().parse_args([command])) == Limits()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -257,12 +258,32 @@ def test_branch_cap_stops_enumeration():
     assert any("branch limit" in n for n in res.notes)
 
 
+TWO_VERTEX_DICRITICAL = OneForm(5 * Y**3 + 7 * X**3 * Y, -4 * X * Y**2 - 3 * X**4)
+
+
+@pytest.mark.parametrize("samples", [(0,), (0, 1)])
+def test_a_zero_term_does_not_enlarge_the_grid(samples):
+    # the c = 0 members of the vertex families are the smooth branch y = 0;
+    # they counted r = 2 and r = 1 when a zero term enlarged the grid
+    res = expand_branches(
+        TWO_VERTEX_DICRITICAL, Limits(dicritical_samples=tuple(map(Fraction, samples)))
+    )
+    assert res.branches
+    for b in res.branches:
+        q, enlargements = 1, 0
+        for s in b.steps:
+            if s.c != 0 and math.lcm(q, s.mu.denominator) > q:
+                q, enlargements = math.lcm(q, s.mu.denominator), enlargements + 1
+        assert b.r == enlargements, series_text(b.steps)
+    assert all(b.r == 0 for b in res.branches if series_text(b.steps) == "0")
+
+
 def test_residual_grows_with_each_term():
     from puiseuxform import BranchStep, PuiseuxBranch
 
     res = expand_branches(CUSP)
     full = res.branches[1]
-    empty = PuiseuxBranch((), 0, None, 2)
+    empty = PuiseuxBranch((), 2)
     assert invariance_residual(CUSP, empty) == 2  # ord_x of a(x, 0)
     assert invariance_residual(CUSP, full) is INFINITY
 

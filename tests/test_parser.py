@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import strategies as st
 
 from puiseuxform import PuiseuxPoly
 from puiseuxform.cli.parser import (
+    _MAX_BITS,
+    _MAX_WORK,
     FormError,
     ParseError,
+    _power_work,
     parse_form,
     parse_poly,
     poly_to_text,
@@ -127,3 +131,44 @@ int_polys = st.lists(
 @given(int_polys)
 def test_text_round_trip(p):
     assert parse_poly(poly_to_text(p)) == p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 31, 32])
+def test_power_work_counts_the_term_products_of_a_power(n, monkeypatch):
+    # every monomial of degree <= n appears in (x+y+1)^n, so the bound is met
+    pairs = []
+    mul = PuiseuxPoly.__mul__
+
+    def counting(self, other):
+        pairs.append(len(self.terms) * len(other.terms))
+        return mul(self, other)
+
+    monkeypatch.setattr(PuiseuxPoly, "__mul__", counting)
+    (X + Y + 1) ** n
+    assert sum(pairs) == _power_work(3, n)
+
+
+def test_one_parse_charges_all_its_expansions_to_one_budget():
+    one = "(x+1*y+1)^32"
+    assert _power_work(3, 32) + 1 <= _MAX_WORK < 2 * _power_work(3, 32)
+    assert len(parse_poly(one).terms) == 561
+    with pytest.raises(ParseError, match="term products, above the limit %d" % _MAX_WORK):
+        parse_poly(one + " + (x+2*y+1)^32")
+
+
+def test_power_coefficient_bits_are_limited():
+    assert parse_poly("(2*x)^%d" % _MAX_BITS) == PuiseuxPoly.monomial(2**_MAX_BITS, _MAX_BITS)
+    assert parse_poly("(-x)^1000000001") == -PuiseuxPoly.monomial(1, 1000000001)
+    with pytest.raises(ParseError, match="coefficient of %d bits" % (_MAX_BITS + 1)):
+        parse_poly("(2*x)^%d" % (_MAX_BITS + 1))
+    with pytest.raises(ParseError, match="coefficient of 1280 bits"):
+        parse_poly("(x + 1/%d*y)^32" % 2**40)
+
+
+def test_a_long_sum_parses_in_linear_time():
+    # adding each term to the running polynomial copied it: 9 s at 2000 terms
+    text = " + ".join("%d*x^%d*y" % (k, k) for k in range(1, 2001))
+    start = time.perf_counter()
+    p = parse_poly(text)
+    assert time.perf_counter() - start < 1
+    assert len(p.terms) == 2000 and p.coeff(2000, 1) == 2000
