@@ -98,22 +98,22 @@ class PuiseuxPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[TermKey, RatLike] | None = None):
-        clean: dict[TermKey, Fraction] = {}
-        if terms:
-            for (ex, ey), coeff in terms.items():
-                ex = Fraction(ex)
-                ey = int(ey)
-                if ey < 0:
-                    raise ValueError("y-exponents must be nonnegative")
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
-                clean[(ex, ey)] = c
-        self.terms = clean
+        """Check outside input: floats, and y-exponents that are not nonnegative
+        integers, raise ``ValueError``; zero coefficients are dropped."""
+        pairs = []
+        for (ex, ey), coeff in (terms or {}).items():
+            if any(isinstance(v, float) for v in (ex, ey, coeff)):
+                raise ValueError("floats are not exact: %r" % ({(ex, ey): coeff},))
+            ey, c = Fraction(ey), Fraction(coeff)
+            if ey.denominator != 1 or ey < 0:
+                raise ValueError("y-exponents must be nonnegative integers: %s" % ey)
+            if c:
+                pairs.append(((Fraction(ex), int(ey)), c))
+        self.terms = _sum_terms(pairs).terms
 
     @classmethod
     def monomial(cls, coeff: RatLike, ex: RatLike = 0, ey: int = 0) -> "PuiseuxPoly":
-        return cls({(Fraction(ex), int(ey)): Fraction(coeff)})
+        return cls({(ex, ey): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -122,7 +122,7 @@ class PuiseuxPoly:
 
     def coeff(self, ex: RatLike, ey: int) -> Fraction:
         """Coefficient of ``x**ex * y**ey`` (zero when the term is absent)."""
-        return self.terms.get((Fraction(ex), int(ey)), _ZERO)
+        return self.terms.get((ex, ey), _ZERO)
 
     def items(self) -> tuple[tuple[TermKey, Fraction], ...]:
         """Terms sorted by ``(ex, ey)`` — the deterministic iteration order."""
@@ -142,19 +142,12 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            s = acc.get(key, _ZERO) + c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-        return PuiseuxPoly(acc)
+        return _sum_terms(other.terms.items(), dict(self.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "PuiseuxPoly":
-        return PuiseuxPoly({k: -c for k, c in self.terms.items()})
+        return _wrap({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "PuiseuxPoly":
         other = self._coerce(other)
@@ -172,16 +165,11 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        acc: dict[TermKey, Fraction] = {}
-        for (ex1, ey1), c1 in self.terms.items():
-            for (ex2, ey2), c2 in other.terms.items():
-                key = (ex1 + ex2, ey1 + ey2)
-                s = acc.get(key, _ZERO) + c1 * c2
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return PuiseuxPoly(acc)
+        return _sum_terms(
+            ((ex1 + ex2, ey1 + ey2), c1 * c2)
+            for (ex1, ey1), c1 in self.terms.items()
+            for (ex2, ey2), c2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -215,20 +203,33 @@ class PuiseuxPoly:
 
     def diff_x(self) -> "PuiseuxPoly":
         """True derivative in x: ``x**ex`` contributes the factor ``ex``."""
-        acc = {
-            (ex - 1, ey): c * ex
-            for (ex, ey), c in self.terms.items()
-            if ex != 0
-        }
-        return PuiseuxPoly(acc)
+        return _wrap({(ex - 1, ey): c * ex for (ex, ey), c in self.terms.items() if ex})
 
     def diff_y(self) -> "PuiseuxPoly":
-        acc = {
-            (ex, ey - 1): c * ey
-            for (ex, ey), c in self.terms.items()
-            if ey != 0
-        }
-        return PuiseuxPoly(acc)
+        return _wrap({(ex, ey - 1): c * ey for (ex, ey), c in self.terms.items() if ey})
+
+
+def _wrap(terms: dict[TermKey, Fraction]) -> PuiseuxPoly:
+    """A polynomial of ``terms``, which must already keep the term invariant."""
+    p = object.__new__(PuiseuxPoly)
+    p.terms = terms
+    return p
+
+
+def _sum_terms(pairs: Iterable[tuple[TermKey, Fraction]],
+               acc: dict[TermKey, Fraction] | None = None) -> PuiseuxPoly:
+    """The sum of ``(key, coeff)`` pairs, added into ``acc``, which it takes over.
+
+    Keys are ``(Fraction, int >= 0)``, coefficients nonzero ``Fraction``s.
+    """
+    acc = {} if acc is None else acc
+    for key, c in pairs:
+        s = acc[key] + c if key in acc else c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]  # a sum of zero drops its term
+    return _wrap(acc)
 
 
 class OneForm(NamedTuple):
@@ -256,17 +257,12 @@ def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
         raise ValueError("shift exponent mu must be >= 1")
     if c == 0:
         return p
-    acc: dict[TermKey, Fraction] = {}
-    for (ex, ey), coeff in p.terms.items():
-        # (c x^mu + y)^ey = sum_l C(ey, l) c^l x^(mu l) y^(ey - l)
-        for l in range(ey + 1):
-            key = (ex + mu * l, ey - l)
-            s = acc.get(key, _ZERO) + coeff * math.comb(ey, l) * c**l
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return PuiseuxPoly(acc)
+    # (c x^mu + y)^ey = sum_l C(ey, l) c^l x^(mu l) y^(ey - l)
+    return _sum_terms(
+        ((ex + mu * l, ey - l), coeff * math.comb(ey, l) * c**l)
+        for (ex, ey), coeff in p.terms.items()
+        for l in range(ey + 1)
+    )
 
 
 def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
@@ -274,7 +270,8 @@ def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
 
     Substituting into ``a dx + b dy`` and using ``d(c x^mu) = mu c x^(mu-1) dx``
     gives ``a' = a(x, c x^mu + y) + mu c x^(mu-1) b(x, c x^mu + y)`` and
-    ``b' = b(x, c x^mu + y)``.
+    ``b' = b(x, c x^mu + y)``.  A monomial times ``b'`` merges no terms, so
+    its terms are added to ``a(x, c x^mu + y)`` as they are moved.
     """
     c = Fraction(c)
     mu = Fraction(mu)
@@ -282,8 +279,9 @@ def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
         return w
     a2 = substitute_shift(w.a, c, mu)
     b2 = substitute_shift(w.b, c, mu)
-    dshift = PuiseuxPoly.monomial(mu * c, mu - 1)
-    return OneForm(a2 + b2 * dshift, b2)
+    up, scale = mu - 1, mu * c
+    moved = (((ex + up, ey), scale * v) for (ex, ey), v in b2.terms.items())
+    return OneForm(_sum_terms(moved, dict(a2.terms)), b2)
 
 
 def differential(f: PuiseuxPoly) -> OneForm:

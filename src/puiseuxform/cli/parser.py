@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..algebra import OneForm, PuiseuxPoly, power_text, rat_str, signed_sum
+from ..algebra import OneForm, PuiseuxPoly, _sum_terms, power_text, rat_str, signed_sum
 
 
 class ParseError(ValueError):
@@ -113,15 +113,14 @@ class _Parser:
     def parse_expr(self) -> PuiseuxPoly:
         # one dict sums the terms: adding each term to a polynomial copies
         # the polynomial, so a sum of n terms took time quadratic in n
-        acc: dict = {}
+        pairs = []
         sign = -1 if self.peek() == "-" else 1
         if self.peek() in ("+", "-"):
             self.next()
         while True:
-            for key, c in self.parse_term().terms.items():
-                acc[key] = acc.get(key, 0) + sign * c
+            pairs += [(key, sign * c) for key, c in self.parse_term().terms.items()]
             if self.peek() not in ("+", "-"):
-                return PuiseuxPoly(acc)
+                return _sum_terms(pairs)
             sign = -1 if self.next()[0] == "-" else 1
 
     def parse_term(self) -> PuiseuxPoly:

@@ -57,8 +57,8 @@ class BranchStep(NamedTuple):
 
     @property
     def q_after(self) -> int:
-        """The grid after the step; a zero term does not enlarge it."""
-        return math.lcm(self.q_before, self.mu.denominator) if self.c else self.q_before
+        """The grid after the step."""
+        return math.lcm(self.q_before, self.mu.denominator)
 
     @property
     def characteristic(self) -> bool:
@@ -243,10 +243,10 @@ def admissible_steps(
 
     Sides of co-slope ``mu > after``, the exponent of the last step taken
     (``mu >= 1`` at the root, where ``after`` is None), contribute the
-    rational roots of their characteristic polynomial, or sampled
-    coefficients when dicritical; eligible vertices contribute dicritical
-    steps.  Each step keeps the support contact it was taken on.  Steps
-    beyond the limits are pruned.  The returned enumeration also notes the
+    rational roots of their characteristic polynomial, or the nonzero
+    sampled coefficients when dicritical; eligible vertices contribute
+    dicritical steps.  Each step keeps the support contact it was taken on.
+    Steps beyond the limits are pruned.  The returned enumeration also notes the
     pruned candidates and the rational dead ends.  ``np`` is the polygon of
     ``w`` when the caller already holds it.
     """
@@ -280,7 +280,7 @@ def admissible_steps(
         phi = characteristic_poly(w, contact)
         if not phi:
             cands += [BranchStep(mu, Fraction(c), q_before, contact, True)
-                      for c in limits.dicritical_samples]
+                      for c in limits.dicritical_samples if c]
         elif roots := rational_roots(phi):
             cands += [BranchStep(mu, c, q_before, contact, False) for c in roots]
         else:
@@ -309,7 +309,7 @@ def admissible_steps(
 
 def series_text(steps) -> str:
     """Human-readable series for a step sequence, e.g. ``x + 2*x^(3/2)``."""
-    return signed_sum((s.c, power_text("x", s.mu)) for s in steps if s.c != 0)
+    return signed_sum((s.c, power_text("x", s.mu)) for s in steps)
 
 
 def _axis_order(w: OneForm):
@@ -333,10 +333,10 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
 
     A search node emits an exact branch when the transformed form's dx
     coefficient vanishes on y = 0 (the zero tail is invariant) — unless a
-    dicritical step is available there, in which case the terminating
-    branch is the c = 0 member of the sampled family.  Paths whose every
-    continuation was pruned by the limits are emitted as truncated
-    branches; rational dead ends are reported in the notes only.
+    dicritical step is available there and 0 is not a sample; a c = 0 step
+    would repeat the node's own search, so the node stands for it.  Paths
+    whose every continuation was pruned by the limits are emitted as
+    truncated branches; rational dead ends are reported in the notes only.
 
     Output order is deterministic: children are explored by (mu, c)
     ascending.
@@ -365,8 +365,8 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
         if notes:
             prefix = series_text(steps)
             result.notes.extend("[y ~ %s] %s" % (prefix, note) for note in notes)
-        emits = (not any(s.dicritical for s in enum.steps) if exact
-                 else bool(enum.pruned) and not enum.steps)
+        emits = (0 in limits.dicritical_samples
+                 or not any(s.dicritical for s in enum.steps) if exact else bool(enum.pruned) and not enum.steps)
         capped = emits and len(result.branches) >= limits.max_branches
         if capped:
             result.notes.append(

@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import INFINITY, OneForm, PuiseuxPoly, differential
+from .algebra import INFINITY, OneForm, PuiseuxPoly, _wrap, differential
 from .expansion import BranchStep, PuiseuxBranch
 
 
@@ -62,9 +62,9 @@ def branch_to_curve(coeffs: dict[int, Fraction], m: int) -> PuiseuxPoly:
         if k > 1:
             power = power * gamma
         whole = {key: f for key, f in power.terms.items() if key[0].denominator == 1}
-        q.append(PuiseuxPoly(whole))
+        q.append(_wrap(whole))
         c.append(sum((c[k - i] * q[i] for i in range(1, k)), q[k]) * Fraction(-m, k))
-    return PuiseuxPoly(
+    return _wrap(
         {(ex, m - k): f for k, ck in enumerate(c) for (ex, _ey), f in ck.terms.items()}
     )
 

@@ -1,0 +1,99 @@
+"""Hash the CLI's behaviour over a large fixed set of argvs, one digest per family.
+
+Every argv runs through in-process ``run()``; a family's sha256 covers the
+argv, exit code, stdout and stderr of each of its argvs, in order.  The
+forms are the 104 planted corpus forms (``STANDARD_SIGNATURES`` x seeds
+0..12) and nine fixtures.  The families are
+
+* ``polygon`` in text and ``--json``;
+* ``expand``, ``verify`` and ``check-lemmas`` in text, ``--json``,
+  ``--max-ram=2``, ``--max-exp=3/2 --json`` and ``--dicritical-samples=1,-1,2``;
+* ``zero-samples``: those three commands with ``--dicritical-samples=0``
+  and ``--dicritical-samples=0,1 --json``;
+* ``gen`` in text and ``--json`` for the eight signatures at seeds 0..2.
+
+A refactor that keeps behaviour prints the same digests before and after.
+Run it from the repository root (it takes a minute or two)::
+
+    PYTHONPATH=src python tests/dump_behaviour.py
+
+It is not a test module, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from puiseuxform.algebra import rat_str
+from puiseuxform.cli.main import run
+from puiseuxform.cli.parser import poly_to_text
+from puiseuxform.oracle import STANDARD_SIGNATURES, gen_case
+
+FIXTURES = [
+    ("-3*x^2", "2*y"),  # cusp d(y^2 - x^3)
+    ("y", "-x"),  # radial
+    ("-2*x", "y"),  # no rational root
+    ("x*y + y^2", "-x^2 - x*y"),  # dicritical side
+    ("3*y", "-2*x"),  # dicritical vertex
+    ("5*y^3 + 7*x^3*y", "-4*x*y^2 - 3*x^4"),  # two dicritical vertices
+    ("x - y", "x^2"),  # Euler's saddle-node
+    ("-2*x*y^2 - x^4", "2*x^2*y"),  # pencil
+    ("-x", "y - x"),
+]
+FORM_COMMANDS = ("expand", "verify", "check-lemmas")
+VARIANTS = {
+    "": [],
+    " --json": ["--json"],
+    " --max-ram=2": ["--max-ram=2"],
+    " --max-exp=3/2 --json": ["--max-exp=3/2", "--json"],
+    " --dicritical-samples=1,-1,2": ["--dicritical-samples=1,-1,2"],
+}
+ZERO_SAMPLES = (["--dicritical-samples=0"], ["--dicritical-samples=0,1", "--json"])
+
+
+def families() -> dict[str, list[list[str]]]:
+    """The argvs of each family, in a fixed order."""
+    forms = list(FIXTURES)
+    gens = []
+    for sig in STANDARD_SIGNATURES:
+        text = ",".join(rat_str(e) for e in sig)
+        for seed in range(13):
+            case = gen_case(sig, seed)
+            forms.append((poly_to_text(case.form.a), poly_to_text(case.form.b)))
+            if seed < 3:
+                gens.append(["gen", "--signature=" + text, "--seed=%d" % seed])
+    ab = [["--a=" + a, "--b=" + b] for a, b in forms]
+    table = {
+        "polygon": [["polygon", *f] for f in ab],
+        "polygon --json": [["polygon", *f, "--json"] for f in ab],
+    }
+    for cmd in FORM_COMMANDS:
+        for name, extra in VARIANTS.items():
+            table[cmd + name] = [[cmd, *f, *extra] for f in ab]
+    table["zero-samples"] = [
+        [cmd, *f, *extra] for cmd in FORM_COMMANDS for extra in ZERO_SAMPLES for f in ab
+    ]
+    table["gen"] = gens
+    table["gen --json"] = [argv + ["--json"] for argv in gens]
+    return table
+
+
+def family_digest(argvs: list[list[str]]) -> str:
+    h = hashlib.sha256()
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        h.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    total = 0
+    for name, argvs in families().items():
+        total += len(argvs)
+        print("%s  %5d  %s" % (family_digest(argvs), len(argvs), name), flush=True)
+    print("%d argvs" % total)

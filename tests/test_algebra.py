@@ -57,6 +57,35 @@ def test_poly_coeff_absent_is_zero():
     assert p.coeff(0, -1) == 0
 
 
+@pytest.mark.parametrize("terms", [
+    {(1, Fraction(3, 2)): 1},  # became y^1
+    {(0, "1/2"): 1},
+    {(0.5, 1): 1},
+    {(1, 2.0): 1},
+    {(1, 1): 0.1},  # stored 3602879701896397/36028797018963968
+    {(1, 1): 0.0},
+])
+def test_poly_rejects_inexact_or_fractional_y_input(terms):
+    with pytest.raises(ValueError):
+        PuiseuxPoly(terms)
+    ((ex, ey), coeff), = terms.items()
+    with pytest.raises(ValueError):
+        PuiseuxPoly.monomial(coeff, ex, ey)
+
+
+def test_poly_normalises_exact_outside_input():
+    p = PuiseuxPoly({("3/2", Fraction(2)): "1/3", (1, 0): 0})
+    ((ex, ey), c), = p.terms.items()
+    assert (ex, ey, c) == (Fraction(3, 2), 2, Fraction(1, 3))
+    assert (type(ex), type(ey), type(c)) == (Fraction, int, Fraction)
+    assert PuiseuxPoly({(1, 0): 1, ("1", 0): -1}).is_zero()
+    # an integral-valued y-exponent of another type still finds its term;
+    # 5/2 is no y-exponent and has no coefficient, not the y^2 one
+    q = X * Y**2
+    assert q.coeff(1, 2) == q.coeff(Fraction(1), Fraction(2)) == 1
+    assert q.coeff(1, Fraction(5, 2)) == q.coeff(1, 2.5) == 0
+
+
 def test_ramification_follows_exponent_denominators():
     # x^(3/2) + x^(1/3)*y lies on the grid 1/6, not on 1/4
     p = poly_from_pairs([(Fraction(3, 2), 0, 1), (Fraction(1, 3), 1, 1)])
@@ -228,3 +257,46 @@ def test_shift_substitution_matches_evaluation(p, c, mu, pt):
     lhs = eval_ramified(shifted, t0, y0, ram)
     rhs = eval_ramified(p, t0, c * t0 ** int(mu * ram) + y0, ram)
     assert lhs == rhs
+
+
+def _keeps_term_invariant(p: PuiseuxPoly) -> bool:
+    return all(
+        type(ex) is Fraction and type(ey) is int and ey >= 0
+        and type(c) is Fraction and c != 0
+        for (ex, ey), c in p.terms.items()
+    )
+
+
+@settings(deadline=None)
+@given(
+    polys,
+    polys,
+    st.integers(0, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=2),
+    st.fractions(min_value=1, max_value=3, max_denominator=4),
+    points,
+)
+def test_arithmetic_keeps_the_term_invariant_and_evaluates(p, q, n, c, mu, pt):
+    t0, y0 = pt
+    ram = _grid(p, q, mu=mu)
+    pv = eval_ramified(p, t0, y0, ram)
+    qv = eval_ramified(q, t0, y0, ram)
+    shift = c * t0 ** int(mu * ram)  # c*x^mu at x = t0**ram
+    w = transform_form(OneForm(p, q), c, mu)
+    composed = substitute_shift(p, c, mu) + substitute_shift(q, c, mu) * (
+        PuiseuxPoly.monomial(mu * c, mu - 1))
+    results = [
+        (p + q, pv + qv),
+        (p - q, pv - qv),
+        (-p, -pv),
+        (p * q, pv * qv),
+        (p**n, pv**n),
+        (substitute_shift(p, c, mu), eval_ramified(p, t0, shift + y0, ram)),
+        (w.b, eval_ramified(q, t0, shift + y0, ram)),
+        (w.a, eval_ramified(p, t0, shift + y0, ram)
+         + mu * c * t0 ** int((mu - 1) * ram) * eval_ramified(q, t0, shift + y0, ram)),
+    ]
+    for r, value in results:
+        assert _keeps_term_invariant(r)
+        assert eval_ramified(r, t0, y0, ram) == value
+    assert w.a == composed

@@ -9,7 +9,8 @@ through every command in text and ``--json`` mode.  ``gen``
 is pinned for those 24 cases, for ``3/2,7/4 --seed=4``, and for the
 ramified towers ``STANDARD_SIGNATURES[4:]`` (m = 4, 6, 8) x seeds 0..1.
 Two limit-truncated expansions pin finite invariance residuals through
-``expand`` and ``verify``.
+``expand`` and ``verify``, and two ``expand`` runs pin a ``0`` among the
+dicritical samples.
 
 After an intended output change, record the digests again with
 ``python tests/test_cli_golden.py`` (``src`` on the path) and review the
@@ -49,6 +50,11 @@ ERROR_ARGVS = [
     ["verify", "--a=" + "(" * 330 + "x*y" + ")" * 330, "--b=y"],
     ["polygon", "--a=" + "(" * 1000 + "x" + ")" * 1000, "--b=y"],
 ]
+# two dicritical vertices: a 0 sample reports the zero tail y = 0 once
+ZERO_SAMPLE_ARGVS = [
+    ["expand", "--a=5*y^3 + 7*x^3*y", "--b=-4*x*y^2 - 3*x^4", samples]
+    for samples in ("--dicritical-samples=0", "--dicritical-samples=0,1")
+]
 
 
 def golden_argvs() -> dict[str, list[str]]:
@@ -76,7 +82,8 @@ def golden_argvs() -> dict[str, list[str]]:
         for a, b, limit in truncated
         for cmd in ("expand", "verify")
     ]
-    argvs = [argv + mode for argv in argvs for mode in ([], ["--json"])] + ERROR_ARGVS
+    argvs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
+    argvs += ERROR_ARGVS + ZERO_SAMPLE_ARGVS
     return {shlex.join(argv): argv for argv in argvs}
 
 

@@ -278,6 +278,22 @@ def test_a_zero_term_does_not_enlarge_the_grid(samples):
     assert all(b.r == 0 for b in res.branches if series_text(b.steps) == "0")
 
 
+@pytest.mark.parametrize("w", [TWO_VERTEX_DICRITICAL, RADIAL, DICRITICAL_SIDE])
+@pytest.mark.parametrize("samples", [(0,), (0, 1), (1,), (1, 0, -1)])
+def test_no_two_branches_share_a_step_list(w, samples):
+    # a c = 0 step left the form as it was, so its subtree repeated the
+    # node's own search: =0 reported y = 0 twice on the two-vertex form
+    limits = Limits(Fraction(8), dicritical_samples=tuple(map(Fraction, samples)))
+    res = expand_branches(w, limits)
+    lists = [tuple((s.mu, s.c) for s in b.steps) for b in res.branches]
+    assert len(set(lists)) == len(lists), [series_text(b.steps) for b in res.branches]
+    assert len(set(res.notes)) == len(res.notes)
+    assert all(s.c != 0 for b in res.branches for s in b.steps)
+    assert sum(1 for b in res.branches if not b.steps) == (0 in samples)  # y = 0
+    if w is TWO_VERTEX_DICRITICAL and samples in ((0,), (0, 1)):
+        assert len(res.branches) == {(0,): 1, (0, 1): 3}[samples]
+
+
 def test_residual_grows_with_each_term():
     from puiseuxform import BranchStep, PuiseuxBranch
 
