@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Tuple, Union
+from typing import Hashable, Iterable, Mapping, NamedTuple, Tuple, Union
 
 RatLike = Union[int, str, Fraction]
 
@@ -109,7 +109,7 @@ class PuiseuxPoly:
                 raise ValueError("y-exponents must be nonnegative integers: %s" % ey)
             if c:
                 pairs.append(((Fraction(ex), int(ey)), c))
-        self.terms = _sum_terms(pairs).terms
+        self.terms = _sum_terms(pairs)
 
     @classmethod
     def monomial(cls, coeff: RatLike, ex: RatLike = 0, ey: int = 0) -> "PuiseuxPoly":
@@ -121,7 +121,14 @@ class PuiseuxPoly:
         return not self.terms
 
     def coeff(self, ex: RatLike, ey: int) -> Fraction:
-        """Coefficient of ``x**ex * y**ey`` (zero when the term is absent)."""
+        """Coefficient of ``x**ex * y**ey`` (zero when the term is absent).
+
+        A ``"p/q"`` string finds its term; a float raises ``ValueError``.
+        """
+        if isinstance(ex, float):
+            raise ValueError("floats are not exact: %r" % ex)
+        if isinstance(ex, str):
+            ex = Fraction(ex)
         return self.terms.get((ex, ey), _ZERO)
 
     def items(self) -> tuple[tuple[TermKey, Fraction], ...]:
@@ -142,7 +149,7 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _sum_terms(other.terms.items(), dict(self.terms))
+        return _wrap(_sum_terms(other.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -165,11 +172,11 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _sum_terms(
+        return _wrap(_sum_terms(
             ((ex1 + ex2, ey1 + ey2), c1 * c2)
             for (ex1, ey1), c1 in self.terms.items()
             for (ex2, ey2), c2 in other.terms.items()
-        )
+        ))
 
     __rmul__ = __mul__
 
@@ -216,20 +223,23 @@ def _wrap(terms: dict[TermKey, Fraction]) -> PuiseuxPoly:
     return p
 
 
-def _sum_terms(pairs: Iterable[tuple[TermKey, Fraction]],
-               acc: dict[TermKey, Fraction] | None = None) -> PuiseuxPoly:
+def _sum_terms(pairs: Iterable[tuple[Hashable, Fraction]],
+               acc: dict | None = None) -> dict:
     """The sum of ``(key, coeff)`` pairs, added into ``acc``, which it takes over.
 
-    Keys are ``(Fraction, int >= 0)``, coefficients nonzero ``Fraction``s.
+    Coefficients are nonzero ``Fraction``s; keys are ``(Fraction, int >= 0)``
+    terms, or the ``(int, int)`` grid keys of the shift.
     """
     acc = {} if acc is None else acc
     for key, c in pairs:
-        s = acc[key] + c if key in acc else c
-        if s:
+        s = acc.get(key)
+        if s is None:
+            acc[key] = c
+        elif s := s + c:
             acc[key] = s
         else:
             del acc[key]  # a sum of zero drops its term
-    return _wrap(acc)
+    return acc
 
 
 class OneForm(NamedTuple):
@@ -246,6 +256,36 @@ def order(p: PuiseuxPoly):
     return min(ex + ey for (ex, ey) in p.terms)
 
 
+def _shift_on_grid(c: Fraction, mu: Fraction, *polys: PuiseuxPoly):
+    """Each of ``polys`` under ``y -> c*x**mu + y``, on one integer grid.
+
+    Returns ``d``, the lcm of the denominators of ``mu`` and of every
+    x-exponent, and the shifted terms of each poly keyed ``(ex*d, ey)``,
+    so a shift adds integers.  ``C(ey, l) * c**l`` and ``mu*d*l`` are made
+    once per call.
+    """
+    d = math.lcm(mu.denominator, *(ex.denominator for p in polys for ex, _ey in p.terms))
+    step = int(mu * d)
+    top = max((ey for p in polys for _ex, ey in p.terms), default=0)
+    # (c x^mu + y)^ey = sum_l C(ey, l) c^l x^(mu l) y^(ey - l)
+    rows = [[(l, step * l, math.comb(ey, l) * c**l) for l in range(1, ey + 1)]
+            for ey in range(top + 1)]
+    shifted = []
+    for p in polys:
+        grid = {(ex.numerator * (d // ex.denominator), ey): v
+                for (ex, ey), v in p.terms.items()}
+        shifted.append(_sum_terms(  # the l = 0 terms are the input's own
+            (((n + off, ey - l), v * f) for (n, ey), v in grid.items()
+             for l, off, f in rows[ey]), dict(grid)))
+    return d, shifted
+
+
+def _off_grid(d: int, *grids: dict) -> list[PuiseuxPoly]:
+    """The polys of grid terms keyed ``(ex*d, ey)``, with one Fraction per ``ex``."""
+    xs = {n: Fraction(n, d) for g in grids for n, _ey in g}
+    return [_wrap({(xs[n], ey): v for (n, ey), v in g.items()}) for g in grids]
+
+
 def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
     """``p(x, c*x**mu + y)``, expanded binomially, exactly.
 
@@ -257,12 +297,8 @@ def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
         raise ValueError("shift exponent mu must be >= 1")
     if c == 0:
         return p
-    # (c x^mu + y)^ey = sum_l C(ey, l) c^l x^(mu l) y^(ey - l)
-    return _sum_terms(
-        ((ex + mu * l, ey - l), coeff * math.comb(ey, l) * c**l)
-        for (ex, ey), coeff in p.terms.items()
-        for l in range(ey + 1)
-    )
+    d, shifted = _shift_on_grid(c, mu, p)
+    return _off_grid(d, *shifted)[0]
 
 
 def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
@@ -270,18 +306,20 @@ def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
 
     Substituting into ``a dx + b dy`` and using ``d(c x^mu) = mu c x^(mu-1) dx``
     gives ``a' = a(x, c x^mu + y) + mu c x^(mu-1) b(x, c x^mu + y)`` and
-    ``b' = b(x, c x^mu + y)``.  A monomial times ``b'`` merges no terms, so
-    its terms are added to ``a(x, c x^mu + y)`` as they are moved.
+    ``b' = b(x, c x^mu + y)``.  Both are shifted on one grid, and a monomial
+    times ``b'`` merges no terms, so its terms are added to
+    ``a(x, c x^mu + y)`` as they are moved.  ``c = 0`` returns ``w``.
     """
     c = Fraction(c)
     mu = Fraction(mu)
     if c == 0:
         return w
-    a2 = substitute_shift(w.a, c, mu)
-    b2 = substitute_shift(w.b, c, mu)
-    up, scale = mu - 1, mu * c
-    moved = (((ex + up, ey), scale * v) for (ex, ey), v in b2.terms.items())
-    return OneForm(_sum_terms(moved, dict(a2.terms)), b2)
+    if mu < 1:
+        raise ValueError("shift exponent mu must be >= 1")
+    d, (a2, b2) = _shift_on_grid(c, mu, w.a, w.b)
+    up, scale = int((mu - 1) * d), mu * c
+    _sum_terms((((n + up, ey), scale * v) for (n, ey), v in b2.items()), a2)
+    return OneForm(*_off_grid(d, a2, b2))
 
 
 def differential(f: PuiseuxPoly) -> OneForm:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..algebra import OneForm, PuiseuxPoly, _sum_terms, power_text, rat_str, signed_sum
+from ..algebra import OneForm, PuiseuxPoly, _sum_terms, _wrap, power_text, rat_str, signed_sum
 
 
 class ParseError(ValueError):
@@ -120,7 +120,7 @@ class _Parser:
         while True:
             pairs += [(key, sign * c) for key, c in self.parse_term().terms.items()]
             if self.peek() not in ("+", "-"):
-                return _sum_terms(pairs)
+                return _wrap(_sum_terms(pairs))
             sign = -1 if self.next()[0] == "-" else 1
 
     def parse_term(self) -> PuiseuxPoly:

@@ -101,8 +101,9 @@ def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
     mu = Fraction(mu)
     if mu < 1:
         raise ValueError("support queries require mu >= 1")
-    tau = min(p.i + mu * p.j for p in np.cloud)
-    pts = tuple(p for p in np.cloud if p.i + mu * p.j == tau)
+    heights = [p.i + mu * p.j for p in np.cloud]
+    tau = min(heights)
+    pts = tuple(p for p, h in zip(np.cloud, heights) if h == tau)
     kind = "side" if len(pts) >= 2 else "vertex"
     highest = max(pts, key=lambda p: p.j)
     return SupportContact(mu, tau, pts, kind, highest)

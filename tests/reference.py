@@ -10,16 +10,23 @@ agreement between the two is meaningful:
 * ``eval_ramified`` evaluates a polynomial at a point of the ramified
   grid, so identities can be checked numerically.
 * ``poly_from_pairs`` builds a polynomial from ``(ex, ey, coeff)`` triples.
+* ``binomial_shift`` is the per-term form of ``substitute_shift``: it
+  evaluates ``C(ey, l) * c**l`` and ``ex + mu*l`` for every term and every
+  ``l``, with ``Fraction`` exponents, where the pipeline shifts once on an
+  integer exponent grid.
 
 Nothing here calls the polygon hull or the branch search.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
-from puiseuxform.algebra import INFINITY, OneForm, PuiseuxPoly, RatLike, TermKey
+from puiseuxform.algebra import (
+    INFINITY, OneForm, PuiseuxPoly, RatLike, TermKey, _sum_terms, _wrap,
+)
 from puiseuxform.expansion import PuiseuxBranch
 from puiseuxform.polygon import CloudPoint
 
@@ -125,3 +132,19 @@ def poly_from_pairs(pairs: Iterable[tuple[RatLike, int, RatLike]]) -> PuiseuxPol
         else:
             acc.pop(key, None)
     return PuiseuxPoly(acc)
+
+
+def binomial_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
+    """``p(x, c*x**mu + y)``, expanded binomially, one term at a time."""
+    c = Fraction(c)
+    mu = Fraction(mu)
+    if mu < 1:
+        raise ValueError("shift exponent mu must be >= 1")
+    if c == 0:
+        return p
+    # (c x^mu + y)^ey = sum_l C(ey, l) c^l x^(mu l) y^(ey - l)
+    return _wrap(_sum_terms(
+        ((ex + mu * l, ey - l), coeff * math.comb(ey, l) * c**l)
+        for (ex, ey), coeff in p.terms.items()
+        for l in range(ey + 1)
+    ))

@@ -15,7 +15,7 @@ from puiseuxform import (
     substitute_shift,
     transform_form,
 )
-from reference import eval_ramified, poly_from_pairs
+from reference import binomial_shift, eval_ramified, poly_from_pairs
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
@@ -55,6 +55,14 @@ def test_poly_coeff_absent_is_zero():
     p = X + Y
     assert p.coeff(2, 0) == 0
     assert p.coeff(0, -1) == 0
+
+
+def test_poly_coeff_reads_strings_and_refuses_floats():
+    p = PuiseuxPoly({("3/2", 1): 5})
+    assert p.coeff("3/2", 1) == p.coeff(Fraction(3, 2), 1) == 5
+    assert p.coeff("1/2", 1) == 0
+    with pytest.raises(ValueError):
+        p.coeff(1.5, 1)  # 1.5 == 3/2: a plain lookup would find the term
 
 
 @pytest.mark.parametrize("terms", [
@@ -174,6 +182,16 @@ def test_transform_form_cusp_step():
     assert w2.b == poly_from_pairs([(Fraction(3, 2), 0, 2), (0, 1, 2)])
 
 
+def test_transform_form_guard_order():
+    w = OneForm(-3 * X**2, 2 * Y)
+    assert transform_form(w, 0, Fraction(1, 2)) is w  # c = 0 before mu < 1
+    with pytest.raises(ValueError):
+        transform_form(w, 1, Fraction(1, 2))
+    a = Y**2 + X
+    w2 = transform_form(OneForm(a, PuiseuxPoly()), 2, Fraction(3, 2))
+    assert w2 == (substitute_shift(a, 2, Fraction(3, 2)), PuiseuxPoly())
+
+
 def test_differential_of_cusp_curve():
     w = differential(Y**2 - X**3)
     assert w.a == -3 * X**2
@@ -187,15 +205,15 @@ def test_eval_ramified_frozen():
     assert eval_ramified(q, 3, 5, 1) == 8
 
 
-def _terms():
+def _terms(top=4, dens=(1, 2, 3, 4), max_ey=3, size=4):
     return st.lists(
         st.tuples(
-            st.integers(0, 4),
-            st.sampled_from([1, 2, 3, 4]),
-            st.integers(0, 3),
+            st.integers(0, top),
+            st.sampled_from(dens),
+            st.integers(0, max_ey),
             st.fractions(min_value=-3, max_value=3, max_denominator=4),
         ),
-        max_size=4,
+        max_size=size,
     )
 
 
@@ -300,3 +318,40 @@ def test_arithmetic_keeps_the_term_invariant_and_evaluates(p, q, n, c, mu, pt):
         assert _keeps_term_invariant(r)
         assert eval_ramified(r, t0, y0, ram) == value
     assert w.a == composed
+
+
+# x-exponent denominators 1-6 and y-exponents up to 6
+wide_polys = st.one_of(
+    st.just(PuiseuxPoly()), _terms(12, range(1, 7), 6, 6).map(_poly_from))
+# 1 + k/den: a denominator of 7 or 8 divides no x-exponent denominator
+wide_mus = st.tuples(st.integers(1, 8), st.integers(0, 16)).map(
+    lambda t: 1 + Fraction(t[1], t[0]))
+
+
+@settings(deadline=None)
+@given(
+    wide_polys,
+    wide_polys,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    wide_mus,
+    st.sampled_from(["plain", "shifted back", "a' cancels"]),
+)
+def test_grid_shift_equals_per_term_shift(p, q, c, mu, how):
+    """The grid shift gives exactly the per-term shift's terms."""
+    orig = q
+    if how == "shifted back":  # shifting by c cancels down to p and q
+        p, q = binomial_shift(p, -c, mu), binomial_shift(q, -c, mu)
+    elif how == "a' cancels":  # a = -mu c x^(mu-1) b makes a' zero
+        p = -(q * PuiseuxPoly.monomial(mu * c, mu - 1))
+    shifted = substitute_shift(p, c, mu)
+    assert shifted.terms == binomial_shift(p, c, mu).terms
+    assert _keeps_term_invariant(shifted)
+    w = transform_form(OneForm(p, q), c, mu)
+    b2 = binomial_shift(q, c, mu)
+    a2 = binomial_shift(p, c, mu) + b2 * PuiseuxPoly.monomial(mu * c, mu - 1)
+    assert (w.a.terms, w.b.terms) == (a2.terms, b2.terms)
+    assert _keeps_term_invariant(w.a) and _keeps_term_invariant(w.b)
+    if how == "shifted back":
+        assert w.b.terms == orig.terms
+    elif how == "a' cancels" and c:
+        assert w.a.is_zero()
