@@ -50,6 +50,7 @@ from .polygon import (
     NewtonPolygon,
     Side,
     SupportContact,
+    cloud,
     multiplicity,
     newton_polygon,
     polygon_of,
@@ -94,6 +95,7 @@ __all__ = [
     "NewtonPolygon",
     "Side",
     "SupportContact",
+    "cloud",
     "multiplicity",
     "newton_polygon",
     "polygon_of",

@@ -25,9 +25,9 @@ from ..expansion import (
     verify_bound,
 )
 from ..oracle import STANDARD_SIGNATURES, gen_case
-from ..polygon import multiplicity, polygon_of, support, y_order
+from ..polygon import cloud, multiplicity, polygon_of, support, y_order
 from .parser import FormError, parse_form, poly_to_text
-from .svg import emit_svg
+from .svg import build_svg
 
 
 def _add_form_args(sp: argparse.ArgumentParser) -> None:
@@ -133,12 +133,12 @@ def _polygon_payload(w: OneForm, np) -> dict:
             }
         )
     return {
-        "cloud": [_pt(p) for p in np.cloud],
+        "cloud": [_pt(p) for p in cloud(w)],
         "polygon": {
             "vertices": [_pt(v) for v in np.vertices],
             "sides": sides,
         },
-        "y_order": y_order(w, np),
+        "y_order": y_order(w),
         "multiplicity": multiplicity(w),
     }
 
@@ -202,11 +202,9 @@ def cmd_polygon(args) -> int:
     if args.support and not args.svg:
         raise ValueError("--support requires --svg")
     if args.svg:
-        if args.support:
-            mus = _rat_list_flag("--support", args.support)
-        else:
-            mus = [s.coslope for s in np.sides] or [Fraction(1)]
-        emit_svg(np, args.svg, support_mus=mus, title="Newton polygon")
+        mus = (_rat_list_flag("--support", args.support) if args.support
+               else [s.coslope for s in np.sides] or [Fraction(1)])
+        Path(args.svg).write_text(build_svg(w, np, mus), encoding="utf-8")
     payload = _polygon_payload(w, np)
     if args.json:
         return _emit_json(payload, 0)

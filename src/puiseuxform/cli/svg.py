@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from pathlib import Path
 
-from ..algebra import rat_str
-from ..polygon import NewtonPolygon, support
+from ..algebra import OneForm, rat_str
+from ..polygon import NewtonPolygon, cloud, support
 
 _SCALE = 60.0
 _PAD = 40.0
@@ -23,12 +22,13 @@ _STYLE = (
 )
 
 
-def build_svg(np: NewtonPolygon, support_mus=(), title: str | None = None) -> str:
+def build_svg(w: OneForm, np: NewtonPolygon, support_mus=()) -> str:
+    pts = cloud(w)
     mus = [Fraction(mu) for mu in support_mus]
     contacts = [(mu, support(np, mu)) for mu in mus]
 
-    xs = [float(p.i) for p in np.cloud] + [0.0]
-    ys = [float(p.j) for p in np.cloud] + [0.0]
+    xs = [float(p.i) for p in pts] + [0.0]
+    ys = [float(p.j) for p in pts] + [0.0]
     for mu, con in contacts:
         xs.append(float(con.tau))
         ys.append(float(con.tau / mu))
@@ -53,9 +53,8 @@ def build_svg(np: NewtonPolygon, support_mus=(), title: str | None = None) -> st
         '<svg xmlns="http://www.w3.org/2000/svg" width="%.2f" height="%.2f" '
         'viewBox="0 0 %.2f %.2f">' % (width, height, width, height),
         "<style>%s</style>" % _STYLE,
+        "<title>Newton polygon</title>",
     ]
-    if title:
-        parts.append("<title>%s</title>" % title)
 
     for gx in range(math.ceil(xlo), math.floor(xhi) + 1):
         parts.append(line(gx, ylo, gx, yhi, "axis" if gx == 0 else "grid"))
@@ -89,7 +88,7 @@ def build_svg(np: NewtonPolygon, support_mus=(), title: str | None = None) -> st
     parts.append(line(float(top.i), float(top.j), float(top.i), yhi, "ray"))
     parts.append(line(float(bottom.i), float(bottom.j), xhi, float(bottom.j), "ray"))
 
-    for p in np.cloud:
+    for p in pts:
         parts.append(
             '<circle class="cloud" cx="%.2f" cy="%.2f" r="3.5"/>'
             % (X(float(p.i)), Y(float(p.j)))
@@ -101,7 +100,3 @@ def build_svg(np: NewtonPolygon, support_mus=(), title: str | None = None) -> st
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def emit_svg(np: NewtonPolygon, path, support_mus=(), title: str | None = None) -> None:
-    Path(path).write_text(build_svg(np, support_mus, title), encoding="utf-8")

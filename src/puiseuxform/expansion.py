@@ -458,13 +458,10 @@ def lemma_checks(trace) -> LemmaReport:
         np_after = entry.polygon_after
         mu_next = step.mu + Fraction(1, m_hat)
 
-        boundary = [p for p in np_after.cloud if p.j == 0]
-        if boundary:
-            worst = min(p.i for p in boundary)
-            l1 = _outcome(
-                all(p.i > tau for p in boundary),
-                "min boundary abscissa %s vs tau %s" % (rat_str(worst), rat_str(tau)),
-            )
+        last = np_after.vertices[-1]  # the row-0 minimum, if there is a row 0
+        if last.j == 0:
+            l1 = _outcome(last.i > tau, "min boundary abscissa %s vs tau %s"
+                          % (rat_str(last.i), rat_str(tau)))
         else:
             l1 = CheckOutcome("vacuous", "no j=0 cloud point")
 
@@ -483,9 +480,9 @@ def lemma_checks(trace) -> LemmaReport:
         if l3_applies:
             t_height = max(1, P.j - (s - 1))
             survivor = CloudPoint(P.i + (P.j - t_height) * step.mu, t_height)
-            cloud_set = set(np_after.cloud)
+            a, b = entry.form_after
             l3 = _outcome(
-                P in cloud_set and survivor in cloud_set,
+                all(a.coeff(i, j) or b.coeff(i + 1, j - 1) for i, j in (P, survivor)),
                 "expected (%s, %d) and (%s, %d) in transformed cloud"
                 % (rat_str(P.i), P.j, rat_str(survivor.i), survivor.j),
             )
@@ -494,8 +491,7 @@ def lemma_checks(trace) -> LemmaReport:
                 "next contact height %d vs bound %d" % (nxt.highest.j, t_height),
             )
         else:
-            l3 = _VACUOUS
-            corollary = _VACUOUS
+            l3 = corollary = _VACUOUS
 
         entries.append(StepLemmaReport(step.mu, l1, l2, l3, corollary))
     return LemmaReport(entries)

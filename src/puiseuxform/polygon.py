@@ -8,7 +8,8 @@ to the right, i.e. of the union of quadrants ``(i, j) + R>=0 x R>=0``.
 
 A support line of co-slope ``mu`` (line slope ``-1/mu``) touches the
 polygon where ``i + mu*j`` is minimal over the cloud; the minimum is the
-``tau`` intercept on the OX axis.
+``tau`` intercept on the OX axis.  Only the cloud's staircase can touch
+it (see ``NewtonPolygon``), so ``cloud(w)`` is built only where it is shown.
 """
 
 from __future__ import annotations
@@ -51,7 +52,13 @@ class SupportContact(NamedTuple):
 
 
 class NewtonPolygon(NamedTuple):
-    cloud: tuple[CloudPoint, ...]
+    """A cloud's staircase, the points that no other point lies below-left
+    of (one per row at most, by increasing abscissa), and its hull.  For
+    ``mu > 0`` a point below-left of ``(i, j)`` is lower on ``i + mu*j``, so
+    a dominated point is never in an argmin: every vertex, side and support
+    contact comes from the staircase (Walker, *Algebraic Curves*, ch. IV)."""
+
+    staircase: tuple[CloudPoint, ...]
     vertices: tuple[CloudPoint, ...]
     sides: tuple[Side, ...]
 
@@ -60,32 +67,24 @@ def _cross(o: CloudPoint, a: CloudPoint, b: CloudPoint) -> Fraction:
     return (a.i - o.i) * (b.j - o.j) - (a.j - o.j) * (b.i - o.i)
 
 
-def newton_polygon(points: Iterable[CloudPoint | tuple[RatLike, int]]) -> NewtonPolygon:
-    """Lower-left boundary of the convex envelope of ``points + R>=0^2``.
-
-    Vertices come out with strictly increasing abscissa and strictly
-    decreasing ordinate; side co-slopes strictly increase left to right.
-    Cloud points interior to a side are not vertices (they reappear in
-    support contacts).
-    """
-    pts = tuple(sorted({CloudPoint(Fraction(i), int(j)) for (i, j) in points}))
-    if not pts:
+def _polygon(points: Iterable[tuple[Fraction, int]]) -> NewtonPolygon:
+    rows: dict[int, Fraction] = {}  # the least abscissa of each row
+    for i, j in points:
+        if j not in rows or i < rows[j]:
+            rows[j] = i
+    if not rows:
         raise ValueError("empty cloud")
-    for p in pts:
-        if p.i < -1:
-            raise MalformedFormError(
-                "cloud point (%s, %d) lies left of i = -1" % (p.i, p.j)
-            )
-    # Pareto frontier: keep points not dominated from the lower left.
-    frontier: list[CloudPoint] = []
-    best_j: int | None = None
-    for p in pts:
-        if best_j is None or p.j < best_j:
-            frontier.append(p)
-            best_j = p.j
-    # Monotone chain over the frontier with exact cross products.
+    # up the rows, a row minimum is on the staircase if left of all below
+    stair: list[CloudPoint] = []
+    for j in sorted(rows):
+        if not stair or rows[j] < stair[-1].i:
+            stair.append(CloudPoint(rows[j], j))
+    stair.reverse()
+    if stair[0].i < -1:  # the least abscissa, with the least ordinate among ties
+        raise MalformedFormError("cloud point (%s, %d) lies left of i = -1" % stair[0])
+    # Monotone chain over the staircase with exact cross products.
     hull: list[CloudPoint] = []
-    for p in frontier:
+    for p in stair:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
@@ -93,7 +92,18 @@ def newton_polygon(points: Iterable[CloudPoint | tuple[RatLike, int]]) -> Newton
         Side(v1, v2, (v2.i - v1.i) / (v1.j - v2.j))
         for v1, v2 in zip(hull, hull[1:])
     )
-    return NewtonPolygon(pts, tuple(hull), sides)
+    return NewtonPolygon(tuple(stair), tuple(hull), sides)
+
+
+def newton_polygon(points: Iterable[CloudPoint | tuple[RatLike, int]]) -> NewtonPolygon:
+    """Lower-left boundary of the convex envelope of ``points + R>=0^2``.
+
+    Each ``i`` is read as a rational, ``"p/q"`` included.  Vertices come out
+    with strictly increasing abscissa and strictly decreasing ordinate; side
+    co-slopes strictly increase left to right.  Cloud points interior to a
+    side are not vertices (they reappear in support contacts).
+    """
+    return _polygon((Fraction(i), int(j)) for i, j in points)
 
 
 def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
@@ -101,28 +111,27 @@ def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
     mu = Fraction(mu)
     if mu < 1:
         raise ValueError("support queries require mu >= 1")
-    heights = [p.i + mu * p.j for p in np.cloud]
+    heights = [p.i + mu * p.j for p in np.staircase]
     tau = min(heights)
-    pts = tuple(p for p, h in zip(np.cloud, heights) if h == tau)
-    kind = "side" if len(pts) >= 2 else "vertex"
-    highest = max(pts, key=lambda p: p.j)
-    return SupportContact(mu, tau, pts, kind, highest)
+    pts = tuple(p for p, h in zip(np.staircase, heights) if h == tau)
+    # the staircase descends, so its first contact point is the highest
+    return SupportContact(mu, tau, pts, "side" if len(pts) >= 2 else "vertex", pts[0])
 
 
 def polygon_of(w: OneForm) -> NewtonPolygon:
-    """Newton polygon of the form; its ``cloud`` is the form's cloud."""
-    return newton_polygon(
-        [*w.a.terms, *((ex - 1, ey + 1) for (ex, ey) in w.b.terms)]
-    )
+    """Newton polygon of the form, built from its term keys as they are."""
+    return _polygon([*w.a.terms, *((ex - 1, ey + 1) for ex, ey in w.b.terms)])
 
 
-def y_order(w: OneForm, np: NewtonPolygon | None = None) -> int:
-    """Ordinate of the highest contact point of the co-slope-1 support line.
+def cloud(w: OneForm) -> tuple[CloudPoint, ...]:
+    """The form's whole cloud, sorted by abscissa, then ordinate."""
+    return tuple(sorted({*map(CloudPoint._make, w.a.terms),
+                         *(CloudPoint(ex - 1, ey + 1) for ex, ey in w.b.terms)}))
 
-    ``np`` is the polygon of ``w`` when the caller already holds it.
-    """
-    np = np if np is not None else polygon_of(w)
-    return support(np, Fraction(1)).highest.j
+
+def y_order(w: OneForm) -> int:
+    """Ordinate of the highest contact point of the co-slope-1 support line."""
+    return support(polygon_of(w), Fraction(1)).highest.j
 
 
 def multiplicity(w: OneForm) -> int:

@@ -10,7 +10,10 @@ forms are the 104 planted corpus forms (``STANDARD_SIGNATURES`` x seeds
   ``--max-ram=2``, ``--max-exp=3/2 --json`` and ``--dicritical-samples=1,-1,2``;
 * ``zero-samples``: those three commands with ``--dicritical-samples=0``
   and ``--dicritical-samples=0,1 --json``;
-* ``gen`` in text and ``--json`` for the eight signatures at seeds 0..2.
+* ``gen`` in text and ``--json`` for the eight signatures at seeds 0..2;
+* ``svg``: ``polygon --svg`` over every form, with the default support
+  lines and with ``--support=1,3/2,2,7/4``.  Its digest also covers the
+  SVG bytes; the temporary SVG path is masked in the argv and stdout.
 
 A refactor that keeps behaviour prints the same digests before and after.
 Run it from the repository root (it takes a minute or two)::
@@ -25,7 +28,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from puiseuxform.algebra import rat_str
 from puiseuxform.cli.main import run
@@ -52,6 +57,8 @@ VARIANTS = {
     " --dicritical-samples=1,-1,2": ["--dicritical-samples=1,-1,2"],
 }
 ZERO_SAMPLES = (["--dicritical-samples=0"], ["--dicritical-samples=0,1", "--json"])
+SVG = "<svg>"  # stands for the temporary SVG path
+SVG_VARIANTS = (["--svg=" + SVG], ["--svg=" + SVG, "--support=1,3/2,2,7/4"])
 
 
 def families() -> dict[str, list[list[str]]]:
@@ -78,16 +85,23 @@ def families() -> dict[str, list[list[str]]]:
     ]
     table["gen"] = gens
     table["gen --json"] = [argv + ["--json"] for argv in gens]
+    table["svg"] = [["polygon", *f, *extra] for extra in SVG_VARIANTS for f in ab]
     return table
 
 
 def family_digest(argvs: list[list[str]]) -> str:
     h = hashlib.sha256()
-    for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = run(argv)
-        h.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "polygon.svg"
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run([arg.replace(SVG, str(path)) for arg in argv])
+            record = [argv, code, out.getvalue().replace(str(path), SVG), err.getvalue()]
+            if any(arg.startswith("--svg=") for arg in argv):
+                record.append(path.read_text(encoding="utf-8") if path.exists() else None)
+                path.unlink(missing_ok=True)
+            h.update(json.dumps(record).encode())
     return h.hexdigest()
 
 

@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from puiseuxform import (
     INFINITY,
+    BranchStep,
+    CloudPoint,
     Limits,
     OneForm,
     PuiseuxPoly,
+    SupportContact,
+    TraceStep,
     admissible_steps,
     characteristic_poly,
     differential,
@@ -364,6 +368,34 @@ def test_lemma_l3_and_corollary_on_height_four_jump():
             assert first.corollary.status == "pass"
             assert "height 2 vs bound 3" in first.corollary.detail
     assert seen > 0
+
+
+def _l3_after(form_after):
+    # a hand-built characteristic step mu = 3/2 (q 1 -> 2) from the contact
+    # top P = (-1, 2): L3 expects P and the survivor (1/2, 1) in the cloud
+    # of form_after
+    P = CloudPoint(Fraction(-1), 2)
+    contact = SupportContact(
+        Fraction(3, 2), Fraction(2), (P, CloudPoint(Fraction(2), 0)), "side", P
+    )
+    step = BranchStep(Fraction(3, 2), Fraction(1), 1, contact, False)
+    (entry,) = lemma_checks([TraceStep(step, form_after, polygon_of(form_after))]).steps
+    return entry.l3
+
+
+def test_lemma_l3_finds_a_survivor_above_the_staircase():
+    # b = y gives P = (-1, 2); a = x^(1/2)*y gives the survivor (1/2, 1),
+    # which a = y, at (0, 1), lies below-left of
+    a = PuiseuxPoly({(Fraction(1, 2), 1): 1, (0, 1): 1})
+    w = OneForm(a, Y)
+    assert CloudPoint(Fraction(1, 2), 1) not in polygon_of(w).staircase
+    l3 = _l3_after(w)
+    assert l3.status == "pass"
+    assert l3.detail == "expected (-1, 2) and (1/2, 1) in transformed cloud"
+
+
+def test_lemma_l3_fails_without_the_survivor():
+    assert _l3_after(OneForm(Y, Y)).status == "fail"
 
 
 def test_lemma_report_never_raises_on_failure_shapes():

@@ -9,6 +9,7 @@ from puiseuxform import (
     MalformedFormError,
     OneForm,
     PuiseuxPoly,
+    cloud,
     multiplicity,
     newton_polygon,
     polygon_of,
@@ -28,13 +29,41 @@ def pts(*pairs):
 
 
 def test_cloud_of_cusp_form():
-    assert polygon_of(CUSP).cloud == pts((-1, 2), (2, 0))
+    assert cloud(CUSP) == pts((-1, 2), (2, 0))
+    assert polygon_of(CUSP).staircase == pts((-1, 2), (2, 0))
 
 
 def test_cloud_merges_a_and_b_contributions():
     # a = x*y contributes (1,1); b = x*y contributes (0,2)
     w = OneForm(X * Y, X * Y)
-    assert polygon_of(w).cloud == pts((0, 2), (1, 1))
+    assert cloud(w) == pts((0, 2), (1, 1))
+
+
+def test_staircase_drops_dominated_points_but_cloud_keeps_them():
+    # a = x^2 + x*y + x^3*y + y^2 + x*y^2: (1, 1) is below-left of (3, 1)
+    # and (1, 2), and (0, 2) is below-left of (1, 2)
+    w = OneForm(X**2 + X * Y + X**3 * Y + Y**2 + X * Y**2, PuiseuxPoly())
+    assert cloud(w) == pts((0, 2), (1, 1), (1, 2), (2, 0), (3, 1))
+    assert polygon_of(w).staircase == pts((0, 2), (1, 1), (2, 0))
+
+
+def test_newton_polygon_reads_abscissas_as_rationals():
+    # compared as strings, "10" would sort before "9"
+    assert newton_polygon([("10", 0), ("9", 0)]).vertices == pts((9, 0))
+    np = newton_polygon(
+        [("1/2", 3), (2, 1), (Fraction(3, 2), 1), ("10", 0), (9, 0), ("3", 2)]
+    )
+    assert np.staircase == pts((Fraction(1, 2), 3), (Fraction(3, 2), 1), (9, 0))
+    assert np.vertices == np.staircase
+    assert [s.coslope for s in np.sides] == [Fraction(1, 2), Fraction(15, 2)]
+
+
+def test_malformed_cloud_names_its_least_point():
+    # the least abscissa, and the least ordinate among ties
+    cloud_pts = [(-3, 2), ("-5/2", 0), (-3, 1), (Fraction(-2), 0), (0, 5)]
+    with pytest.raises(MalformedFormError) as exc:
+        newton_polygon(cloud_pts)
+    assert str(exc.value) == "cloud point (-3, 1) lies left of i = -1"
 
 
 def test_cloud_rejects_abscissa_below_minus_one():
@@ -126,28 +155,51 @@ coslopes = st.fractions(min_value=1, max_value=5, max_denominator=4)
 def test_support_line_is_a_lower_bound(points, mu):
     np = newton_polygon(points)
     con = support(np, mu)
-    values = [p.i + mu * p.j for p in np.cloud]
+    values = [p.i + mu * p.j for p in points]
     assert con.tau == min(values)
-    for p in np.cloud:
-        assert p.i + mu * p.j >= con.tau
-    for p in con.points:
-        assert p.i + mu * p.j == con.tau
+    # the contact is the whole argmin set over the input, in abscissa order
+    assert con.points == tuple(sorted({p for p in points if p.i + mu * p.j == con.tau}))
     assert con.highest == max(con.points, key=lambda p: p.j)
     assert con.kind == ("side" if len(con.points) > 1 else "vertex")
+
+
+terms = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 4)), st.integers(-3, 3), max_size=8
+).map(PuiseuxPoly)
+
+
+@settings(deadline=None)
+@given(terms, terms)
+def test_staircase_of_a_form_is_its_undominated_cloud(a, b):
+    w = OneForm(a, b)
+    points = cloud(w)
+    if not points:
+        return
+    undominated = [
+        v for v in points
+        if not any(p != v and p.i <= v.i and p.j <= v.j for p in points)
+    ]
+    assert polygon_of(w).staircase == tuple(undominated)
 
 
 @settings(deadline=None)
 @given(cloud_points)
 def test_polygon_invariants(points):
     np = newton_polygon(points)
-    assert set(np.vertices) <= set(np.cloud)
+    assert set(np.vertices) <= set(np.staircase) <= set(points)
+    # the staircase is exactly the undominated input points, by abscissa
+    undominated = {
+        v for v in points
+        if not any(p != v and p.i <= v.i and p.j <= v.j for p in points)
+    }
+    assert np.staircase == tuple(sorted(undominated))
     slopes = [s.coslope for s in np.sides]
     assert all(u < v for u, v in zip(slopes, slopes[1:]))
     # walking the vertices: abscissa increases, ordinate decreases
     for v1, v2 in zip(np.vertices, np.vertices[1:]):
         assert v1.i < v2.i and v1.j > v2.j
-    # every vertex is undominated: no cloud point is <= in both coordinates
+    # every vertex is undominated: no input point is <= in both coordinates
     for v in np.vertices:
-        for p in np.cloud:
+        for p in points:
             if p != v:
                 assert not (p.i <= v.i and p.j <= v.j)
