@@ -142,7 +142,7 @@ class PuiseuxPoly:
         if isinstance(value, PuiseuxPoly):
             return value
         if isinstance(value, (int, Fraction)):
-            return PuiseuxPoly.monomial(value)
+            return _monomial(Fraction(value))
         return None
 
     def __add__(self, other) -> "PuiseuxPoly":
@@ -172,10 +172,11 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _wrap(_sum_terms(
-            ((ex1 + ex2, ey1 + ey2), c1 * c2)
-            for (ex1, ey1), c1 in self.terms.items()
-            for (ex2, ey2), c2 in other.terms.items()
+        d, den, (g1, g2) = _to_grid(1, self, other)
+        return _off_grid(d, den * den, _sum_terms(
+            ((n1 + n2, ey1 + ey2), v1 * v2)
+            for (n1, ey1), v1 in g1.items()
+            for (n2, ey2), v2 in g2.items()
         ))
 
     __rmul__ = __mul__
@@ -223,12 +224,18 @@ def _wrap(terms: dict[TermKey, Fraction]) -> PuiseuxPoly:
     return p
 
 
-def _sum_terms(pairs: Iterable[tuple[Hashable, Fraction]],
+def _monomial(coeff: Fraction, ex: int = 0, ey: int = 0) -> PuiseuxPoly:
+    """``coeff * x**ex * y**ey`` from exact parts, unvalidated; 0 gives the zero poly."""
+    return _wrap({(Fraction(ex), ey): coeff} if coeff else {})
+
+
+def _sum_terms(pairs: Iterable[tuple[Hashable, Fraction | int]],
                acc: dict | None = None) -> dict:
     """The sum of ``(key, coeff)`` pairs, added into ``acc``, which it takes over.
 
-    Coefficients are nonzero ``Fraction``s; keys are ``(Fraction, int >= 0)``
-    terms, or the ``(int, int)`` grid keys of the shift.
+    Coefficients are nonzero ``Fraction``s keyed by ``(Fraction, int >= 0)``
+    terms, or the nonzero int numerators of the grid kernels keyed by
+    ``(int, int)``; any exact number type sums the same way.
     """
     acc = {} if acc is None else acc
     for key, c in pairs:
@@ -256,34 +263,49 @@ def order(p: PuiseuxPoly):
     return min(ex + ey for (ex, ey) in p.terms)
 
 
+def _to_grid(mu_den: int, *polys: PuiseuxPoly) -> tuple[int, int, list[dict]]:
+    """``polys`` in integers: ``d``, the lcm of ``mu_den`` and of every
+    x-exponent's denominator; ``den``, the lcm of every coefficient's
+    denominator; and each poly's terms keyed ``(ex*d, ey)`` with the int
+    numerator ``coeff*den``, so that their sums and products need no gcd."""
+    d = math.lcm(mu_den, *(ex.denominator for p in polys for ex, _ey in p.terms))
+    den = math.lcm(*(v.denominator for p in polys for v in p.terms.values()))
+    return d, den, [
+        {(ex.numerator * (d // ex.denominator), ey): v.numerator * (den // v.denominator)
+         for (ex, ey), v in p.terms.items()}
+        for p in polys]
+
+
+def _off_grid(d: int, den: int, grid: dict) -> PuiseuxPoly:
+    """The poly of ``grid``'s terms, keyed ``(ex*d, ey)`` with numerators over
+    ``den``: one Fraction per term and one per ``ex``."""
+    xs = {n: Fraction(n, d) for n, _ey in grid}
+    return _wrap({(xs[n], ey): Fraction(v, den) for (n, ey), v in grid.items()})
+
+
 def _shift_on_grid(c: Fraction, mu: Fraction, *polys: PuiseuxPoly):
     """Each of ``polys`` under ``y -> c*x**mu + y``, on one integer grid.
 
     Returns ``d``, the lcm of the denominators of ``mu`` and of every
-    x-exponent, and the shifted terms of each poly keyed ``(ex*d, ey)``,
-    so a shift adds integers.  ``C(ey, l) * c**l`` and ``mu*d*l`` are made
-    once per call.
+    x-exponent, ``den``, and the shifted terms of each poly keyed
+    ``(ex*d, ey)`` with the int numerators of ``coeff*den``, so a shift
+    adds integers.  For ``c = p/q`` and the top y-exponent ``top``, ``den``
+    is ``q**top`` times the inputs' common denominator, and the row factor
+    of ``C(ey, l) * c**l`` is the int ``C(ey, l) * p**l * q**(top-l)``;
+    rows and ``mu*d*l`` are made once per call.
     """
-    d = math.lcm(mu.denominator, *(ex.denominator for p in polys for ex, _ey in p.terms))
+    d, den, grids = _to_grid(mu.denominator, *polys)
     step = int(mu * d)
     top = max((ey for p in polys for _ex, ey in p.terms), default=0)
-    # (c x^mu + y)^ey = sum_l C(ey, l) c^l x^(mu l) y^(ey - l)
-    rows = [[(l, step * l, math.comb(ey, l) * c**l) for l in range(1, ey + 1)]
+    p, q = c.numerator, c.denominator
+    # (c x^mu + y)^ey = sum_l C(ey, l) c^l x^(mu l) y^(ey - l), times q^top
+    rows = [[(l, step * l, math.comb(ey, l) * p**l * q**(top - l)) for l in range(1, ey + 1)]
             for ey in range(top + 1)]
-    shifted = []
-    for p in polys:
-        grid = {(ex.numerator * (d // ex.denominator), ey): v
-                for (ex, ey), v in p.terms.items()}
-        shifted.append(_sum_terms(  # the l = 0 terms are the input's own
-            (((n + off, ey - l), v * f) for (n, ey), v in grid.items()
-             for l, off, f in rows[ey]), dict(grid)))
-    return d, shifted
-
-
-def _off_grid(d: int, *grids: dict) -> list[PuiseuxPoly]:
-    """The polys of grid terms keyed ``(ex*d, ey)``, with one Fraction per ``ex``."""
-    xs = {n: Fraction(n, d) for g in grids for n, _ey in g}
-    return [_wrap({(xs[n], ey): v for (n, ey), v in g.items()}) for g in grids]
+    lift = q**top
+    shifted = [_sum_terms(  # the l = 0 terms are the input's own, times q^top
+        (((n + off, ey - l), v * f) for (n, ey), v in grid.items() for l, off, f in rows[ey]),
+        {key: v * lift for key, v in grid.items()}) for grid in grids]
+    return d, den * lift, shifted
 
 
 def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
@@ -297,8 +319,8 @@ def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
         raise ValueError("shift exponent mu must be >= 1")
     if c == 0:
         return p
-    d, shifted = _shift_on_grid(c, mu, p)
-    return _off_grid(d, *shifted)[0]
+    d, den, (shifted,) = _shift_on_grid(c, mu, p)
+    return _off_grid(d, den, shifted)
 
 
 def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
@@ -316,10 +338,12 @@ def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
         return w
     if mu < 1:
         raise ValueError("shift exponent mu must be >= 1")
-    d, (a2, b2) = _shift_on_grid(c, mu, w.a, w.b)
+    d, den, (a2, b2) = _shift_on_grid(c, mu, w.a, w.b)
     up, scale = int((mu - 1) * d), mu * c
-    _sum_terms((((n + up, ey), scale * v) for (n, ey), v in b2.items()), a2)
-    return OneForm(*_off_grid(d, a2, b2))
+    # a' over den * (mu c's denominator): a2 scaled up, b2 by mu c's numerator
+    a2 = {key: v * scale.denominator for key, v in a2.items()}
+    _sum_terms((((n + up, ey), scale.numerator * v) for (n, ey), v in b2.items()), a2)
+    return OneForm(_off_grid(d, den * scale.denominator, a2), _off_grid(d, den, b2))
 
 
 def differential(f: PuiseuxPoly) -> OneForm:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..algebra import OneForm, PuiseuxPoly, _sum_terms, _wrap, power_text, rat_str, signed_sum
+from ..algebra import (
+    OneForm, PuiseuxPoly, _monomial, _sum_terms, _wrap, power_text, rat_str, signed_sum,
+)
 
 
 class ParseError(ValueError):
@@ -150,12 +152,12 @@ class _Parser:
                 den = int(self.expect("int")[1])
                 if den == 0:
                     raise ParseError("zero denominator", pos)
-                return PuiseuxPoly.monomial(Fraction(num, den))
-            return PuiseuxPoly.monomial(num)
+                return _monomial(Fraction(num, den))
+            return _monomial(Fraction(num))
         if kind == "var":
             var = self.next()[1]
             exp = self.parse_exponent()
-            return PuiseuxPoly.monomial(1, exp if var == "x" else 0, exp if var == "y" else 0)
+            return _monomial(Fraction(1), exp if var == "x" else 0, exp if var == "y" else 0)
         if kind == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError("parentheses nested deeper than %d" % _MAX_NESTING,

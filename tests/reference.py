@@ -14,6 +14,10 @@ agreement between the two is meaningful:
   evaluates ``C(ey, l) * c**l`` and ``ex + mu*l`` for every term and every
   ``l``, with ``Fraction`` exponents, where the pipeline shifts once on an
   integer exponent grid.
+* ``term_product`` is the per-term form of ``PuiseuxPoly.__mul__``: it
+  multiplies ``Fraction`` coefficients and adds ``Fraction`` exponents
+  pair by pair, where the pipeline multiplies int numerators on an
+  integer exponent grid.
 
 Nothing here calls the polygon hull or the branch search.
 """
@@ -147,4 +151,13 @@ def binomial_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
         ((ex + mu * l, ey - l), coeff * math.comb(ey, l) * c**l)
         for (ex, ey), coeff in p.terms.items()
         for l in range(ey + 1)
+    ))
+
+
+def term_product(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
+    """``p * q``, one ``Fraction`` product per pair of terms."""
+    return _wrap(_sum_terms(
+        ((ex1 + ex2, ey1 + ey2), c1 * c2)
+        for (ex1, ey1), c1 in p.terms.items()
+        for (ex2, ey2), c2 in q.terms.items()
     ))

@@ -15,7 +15,7 @@ from puiseuxform import (
     substitute_shift,
     transform_form,
 )
-from reference import binomial_shift, eval_ramified, poly_from_pairs
+from reference import binomial_shift, eval_ramified, poly_from_pairs, term_product
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
@@ -205,13 +205,14 @@ def test_eval_ramified_frozen():
     assert eval_ramified(q, 3, 5, 1) == 8
 
 
-def _terms(top=4, dens=(1, 2, 3, 4), max_ey=3, size=4):
+def _terms(top=4, dens=(1, 2, 3, 4), max_ey=3, size=4,
+           coeffs=st.fractions(min_value=-3, max_value=3, max_denominator=4)):
     return st.lists(
         st.tuples(
             st.integers(0, top),
             st.sampled_from(dens),
             st.integers(0, max_ey),
-            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            coeffs,
         ),
         max_size=size,
     )
@@ -320,9 +321,21 @@ def test_arithmetic_keeps_the_term_invariant_and_evaluates(p, q, n, c, mu, pt):
     assert w.a == composed
 
 
+def _rationals(dens):
+    """Signed numerators up to 10**6 over ``dens``."""
+    return st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(dens))
+
+
+# Coefficient denominators include the coprime primes 999983 and 2**61 - 1,
+# so a common denominator that drops or doubles a factor cannot cancel by
+# luck; 1000003 and 5 divide no coefficient's denominator.
+BIG_PRIME = 2**61 - 1
+wide_coeffs = _rationals((1, 2, 3, 6, 999983, BIG_PRIME, 3 * BIG_PRIME))
+wide_cs = _rationals((1, 2, 5, 1000003, 999983, BIG_PRIME))
 # x-exponent denominators 1-6 and y-exponents up to 6
 wide_polys = st.one_of(
-    st.just(PuiseuxPoly()), _terms(12, range(1, 7), 6, 6).map(_poly_from))
+    st.just(PuiseuxPoly()),
+    _terms(12, range(1, 7), 6, 6, wide_coeffs).map(_poly_from))
 # 1 + k/den: a denominator of 7 or 8 divides no x-exponent denominator
 wide_mus = st.tuples(st.integers(1, 8), st.integers(0, 16)).map(
     lambda t: 1 + Fraction(t[1], t[0]))
@@ -332,7 +345,7 @@ wide_mus = st.tuples(st.integers(1, 8), st.integers(0, 16)).map(
 @given(
     wide_polys,
     wide_polys,
-    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    wide_cs,
     wide_mus,
     st.sampled_from(["plain", "shifted back", "a' cancels"]),
 )
@@ -348,10 +361,33 @@ def test_grid_shift_equals_per_term_shift(p, q, c, mu, how):
     assert _keeps_term_invariant(shifted)
     w = transform_form(OneForm(p, q), c, mu)
     b2 = binomial_shift(q, c, mu)
-    a2 = binomial_shift(p, c, mu) + b2 * PuiseuxPoly.monomial(mu * c, mu - 1)
+    a2 = binomial_shift(p, c, mu) + term_product(b2, PuiseuxPoly.monomial(mu * c, mu - 1))
     assert (w.a.terms, w.b.terms) == (a2.terms, b2.terms)
     assert _keeps_term_invariant(w.a) and _keeps_term_invariant(w.b)
     if how == "shifted back":
         assert w.b.terms == orig.terms
     elif how == "a' cancels" and c:
         assert w.a.is_zero()
+
+
+@settings(deadline=None)
+@given(wide_polys, wide_polys)
+def test_grid_product_equals_per_term_product(p, q):
+    """The grid product gives exactly the per-term product's terms, also
+    where cross terms cancel and where a factor is zero."""
+    for f, g in [(p, q), (p + q, p - q), (p, PuiseuxPoly()), (PuiseuxPoly(), q)]:
+        r = f * g
+        assert r.terms == term_product(f, g).terms
+        assert _keeps_term_invariant(r)
+    # (p + q)(p - q) = p^2 - q^2: the cross terms p*q and -q*p cancel
+    assert (p + q) * (p - q) == term_product(p, p) - term_product(q, q)
+
+
+def test_grid_product_cancels_to_its_terms():
+    """Terms that cancel in the grid sum leave no zero coefficient behind."""
+    h = Fraction(-3, BIG_PRIME)
+    p = PuiseuxPoly({("1/2", 0): h, (0, 1): 1})
+    q = PuiseuxPoly({("1/3", 1): h, ("5/6", 0): -h * h})
+    # h x^(1/2) * h x^(1/3) y and y * -h^2 x^(5/6) cancel at x^(5/6) y
+    assert (p * q).terms == {(Fraction(4, 3), 0): -h**3, (Fraction(1, 3), 2): h}
+    assert (p * q).terms == term_product(p, q).terms
