@@ -10,6 +10,9 @@ forms are the 104 planted corpus forms (``STANDARD_SIGNATURES`` x seeds
   ``--max-ram=2``, ``--max-exp=3/2 --json`` and ``--dicritical-samples=1,-1,2``;
 * ``zero-samples``: those three commands with ``--dicritical-samples=0``
   and ``--dicritical-samples=0,1 --json``;
+* ``long-chain``: ``expand``, ``verify`` and ``check-lemmas --json`` on
+  one form whose single branch is a truncated chain of integer steps with
+  fast-growing coefficients, under ``--max-exp`` 8, 12 and 16;
 * ``gen`` in text and ``--json`` for the eight signatures at seeds 0..2;
 * ``svg``: ``polygon --svg`` over every form, with the default support
   lines and with ``--support=1,3/2,2,7/4``.  Its digest also covers the
@@ -56,6 +59,7 @@ VARIANTS = {
     " --max-exp=3/2 --json": ["--max-exp=3/2", "--json"],
     " --dicritical-samples=1,-1,2": ["--dicritical-samples=1,-1,2"],
 }
+LONG_CHAIN = ["--a=y^3 - x^4", "--b=-3*y^3 + y^5 + 2*x^3*y^3 - 2*x^5*y^3"]
 ZERO_SAMPLES = (["--dicritical-samples=0"], ["--dicritical-samples=0,1", "--json"])
 SVG = "<svg>"  # stands for the temporary SVG path
 SVG_VARIANTS = (["--svg=" + SVG], ["--svg=" + SVG, "--support=1,3/2,2,7/4"])
@@ -82,6 +86,10 @@ def families() -> dict[str, list[list[str]]]:
             table[cmd + name] = [[cmd, *f, *extra] for f in ab]
     table["zero-samples"] = [
         [cmd, *f, *extra] for cmd in FORM_COMMANDS for extra in ZERO_SAMPLES for f in ab
+    ]
+    table["long-chain"] = [
+        [cmd, *LONG_CHAIN, "--max-exp=%d" % top, "--json"]
+        for top in (8, 12, 16) for cmd in FORM_COMMANDS
     ]
     table["gen"] = gens
     table["gen --json"] = [argv + ["--json"] for argv in gens]

@@ -9,8 +9,9 @@ through every command in text and ``--json`` mode.  ``gen``
 is pinned for those 24 cases, for ``3/2,7/4 --seed=4``, and for the
 ramified towers ``STANDARD_SIGNATURES[4:]`` (m = 4, 6, 8) x seeds 0..1.
 Two limit-truncated expansions pin finite invariance residuals through
-``expand`` and ``verify``, and two ``expand`` runs pin a ``0`` among the
-dicritical samples.
+``expand`` and ``verify``, a ``verify --json`` run pins a 16-step truncated
+chain whose coefficients reach 100-plus digits (residual 19), and two
+``expand`` runs pin a ``0`` among the dicritical samples.
 
 After an intended output change, record the digests again with
 ``python tests/test_cli_golden.py`` (``src`` on the path) and review the
@@ -55,6 +56,7 @@ ZERO_SAMPLE_ARGVS = [
     ["expand", "--a=5*y^3 + 7*x^3*y", "--b=-4*x*y^2 - 3*x^4", samples]
     for samples in ("--dicritical-samples=0", "--dicritical-samples=0,1")
 ]
+LONG_CHAIN = ["--a=y^3 - x^4", "--b=-3*y^3 + y^5 + 2*x^3*y^3 - 2*x^5*y^3"]
 
 
 def golden_argvs() -> dict[str, list[str]]:
@@ -84,6 +86,7 @@ def golden_argvs() -> dict[str, list[str]]:
     ]
     argvs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
     argvs += ERROR_ARGVS + ZERO_SAMPLE_ARGVS
+    argvs.append(["verify", *LONG_CHAIN, "--max-exp=16", "--json"])
     return {shlex.join(argv): argv for argv in argvs}
 
 

@@ -11,6 +11,7 @@ from puiseuxform import (
     CloudPoint,
     Limits,
     OneForm,
+    PuiseuxBranch,
     PuiseuxPoly,
     SupportContact,
     TraceStep,
@@ -306,6 +307,30 @@ def test_residual_grows_with_each_term():
     empty = PuiseuxBranch((), 2)
     assert invariance_residual(CUSP, empty) == 2  # ord_x of a(x, 0)
     assert invariance_residual(CUSP, full) is INFINITY
+
+
+def _planted(*steps):
+    return PuiseuxBranch(tuple(BranchStep(Fraction(mu), Fraction(c), 1, None, False)
+                               for mu, c in steps), None)
+
+
+@pytest.mark.parametrize("steps, residual", [
+    ((), 2),  # ord_x a(x, 0) of a = -3 x^2
+    (((Fraction(1, 2), 0),), 2),  # c = 0 is checked before mu: no shift, no error
+    (((Fraction(1, 2), 0), (Fraction(3, 2), 1)), INFINITY),
+    (((Fraction(3, 2), 1), (Fraction(1, 3), 0), (Fraction(7, 4), 5)), Fraction(9, 4)),
+])
+def test_replay_checks_c_before_mu(steps, residual):
+    assert invariance_residual(CUSP, _planted(*steps)) == residual
+
+
+@pytest.mark.parametrize("steps", [
+    ((Fraction(1, 2), 1),),
+    ((Fraction(3, 2), 1), (Fraction(1, 2), 2)),
+])
+def test_replay_rejects_a_shift_below_one(steps):
+    with pytest.raises(ValueError, match="^shift exponent mu must be >= 1$"):
+        invariance_residual(CUSP, _planted(*steps))
 
 
 def test_expand_rejects_bad_input():
