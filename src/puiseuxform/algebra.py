@@ -172,7 +172,7 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d, den, (g1, g2) = _to_grid(1, self, other)
+        d, den, g1, g2 = _to_grid(self, other)
         return _off_grid(d, den * den, _sum_terms(
             ((n1 + n2, ey1 + ey2), v1 * v2)
             for (n1, ey1), v1 in g1.items()
@@ -263,14 +263,14 @@ def order(p: PuiseuxPoly):
     return min(ex + ey for (ex, ey) in p.terms)
 
 
-def _to_grid(mu_den: int, *polys: PuiseuxPoly) -> tuple[int, int, list[dict]]:
-    """``polys`` in integers: ``d``, the lcm of ``mu_den`` and of every
-    x-exponent's denominator; ``den``, the lcm of every coefficient's
-    denominator; and each poly's terms keyed ``(ex*d, ey)`` with the int
-    numerator ``coeff*den``, so that their sums and products need no gcd."""
-    d = math.lcm(mu_den, *(ex.denominator for p in polys for ex, _ey in p.terms))
+def _to_grid(*polys: PuiseuxPoly) -> tuple:
+    """``polys`` in integers: ``d``, the lcm of every x-exponent's
+    denominator; ``den``, the lcm of every coefficient's denominator; and
+    each poly's terms keyed ``(ex*d, ey)`` with the int numerator
+    ``coeff*den``, so that their sums and products need no gcd."""
+    d = math.lcm(*(ex.denominator for p in polys for ex, _ey in p.terms))
     den = math.lcm(*(v.denominator for p in polys for v in p.terms.values()))
-    return d, den, [
+    return d, den, *[
         {(ex.numerator * (d // ex.denominator), ey): v.numerator * (den // v.denominator)
          for (ex, ey), v in p.terms.items()}
         for p in polys]
@@ -281,31 +281,6 @@ def _off_grid(d: int, den: int, grid: dict) -> PuiseuxPoly:
     ``den``: one Fraction per term and one per ``ex``."""
     xs = {n: Fraction(n, d) for n, _ey in grid}
     return _wrap({(xs[n], ey): Fraction(v, den) for (n, ey), v in grid.items()})
-
-
-def _shift_on_grid(c: Fraction, mu: Fraction, *polys: PuiseuxPoly):
-    """Each of ``polys`` under ``y -> c*x**mu + y``, on one integer grid.
-
-    Returns ``d``, the lcm of the denominators of ``mu`` and of every
-    x-exponent, ``den``, and the shifted terms of each poly keyed
-    ``(ex*d, ey)`` with the int numerators of ``coeff*den``, so a shift
-    adds integers.  For ``c = p/q`` and the top y-exponent ``top``, ``den``
-    is ``q**top`` times the inputs' common denominator, and the row factor
-    of ``C(ey, l) * c**l`` is the int ``C(ey, l) * p**l * q**(top-l)``;
-    rows and ``mu*d*l`` are made once per call.
-    """
-    d, den, grids = _to_grid(mu.denominator, *polys)
-    step = int(mu * d)
-    top = max((ey for p in polys for _ex, ey in p.terms), default=0)
-    p, q = c.numerator, c.denominator
-    # (c x^mu + y)^ey = sum_l C(ey, l) c^l x^(mu l) y^(ey - l), times q^top
-    rows = [[(l, step * l, math.comb(ey, l) * p**l * q**(top - l)) for l in range(1, ey + 1)]
-            for ey in range(top + 1)]
-    lift = q**top
-    shifted = [_sum_terms(  # the l = 0 terms are the input's own, times q^top
-        (((n + off, ey - l), v * f) for (n, ey), v in grid.items() for l, off, f in rows[ey]),
-        {key: v * lift for key, v in grid.items()}) for grid in grids]
-    return d, den * lift, shifted
 
 
 def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
@@ -319,8 +294,45 @@ def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
         raise ValueError("shift exponent mu must be >= 1")
     if c == 0:
         return p
-    d, den, (shifted,) = _shift_on_grid(c, mu, p)
-    return _off_grid(d, den, shifted)
+    return transform_form(OneForm(p, _wrap({})), c, mu).a  # b = 0 adds nothing to a'
+
+
+def _transform_on_grid(g: tuple, c: Fraction, mu: Fraction) -> tuple:
+    """:func:`transform_form` on the record ``(d, den, a, b)`` of
+    :func:`_to_grid`, and the record of the result; ``c = 0`` returns ``g``.
+
+    The content ``gcd(den, *numerators)`` of ``g`` is divided out first, so
+    a chain of calls keeps its integers small; ``transform_form``'s fresh
+    grid has content 1.  The grid widens to ``lcm(d, mu.denominator)``.  For
+    ``c = p/q`` and ``top`` the top y-exponent, each row factor
+    ``C(ey, l) * c**l`` is the int ``C(ey, l) * p**l * q**(top-l)``.
+    """
+    if c == 0:
+        return g
+    if mu < 1:
+        raise ValueError("shift exponent mu must be >= 1")
+    d, den, a, b = g
+    k = math.gcd(den, *a.values(), *b.values())  # 1 on a fresh grid
+    if k > 1:
+        den, a, b = den // k, *({key: v // k for key, v in h.items()} for h in (a, b))
+    widen = math.lcm(d, mu.denominator) // d
+    if widen > 1:
+        d, a, b = d * widen, *({(n * widen, ey): v for (n, ey), v in h.items()} for h in (a, b))
+    step, up, scale = int(mu * d), int((mu - 1) * d), mu * c
+    top = max((ey for h in (a, b) for _n, ey in h), default=0)
+    p, q, m = c.numerator, c.denominator, scale.denominator
+    # (c x^mu + y)^ey = sum_l C(ey, l) c^l x^(mu l) y^(ey - l), times q^top
+    rows = [[(l, step * l, math.comb(ey, l) * p**l * q**(top - l)) for l in range(1, ey + 1)]
+            for ey in range(top + 1)]
+    lift = q**top
+    a, b = (_sum_terms(  # the l = 0 terms are the input's own, times q^top
+        (((n + off, ey - l), v * f) for (n, ey), v in h.items() for l, off, f in rows[ey]),
+        {key: v * lift for key, v in h.items()}) for h in (a, b))
+    # a' = a(x, c x^mu + y) + mu c x^(mu-1) b' and b' over den q^top m
+    a = {key: v * m for key, v in a.items()} if m > 1 else a
+    _sum_terms((((n + up, ey), scale.numerator * v) for (n, ey), v in b.items()), a)
+    b = {key: v * m for key, v in b.items()} if m > 1 else b
+    return d, den * lift * m, a, b
 
 
 def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
@@ -328,22 +340,15 @@ def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
 
     Substituting into ``a dx + b dy`` and using ``d(c x^mu) = mu c x^(mu-1) dx``
     gives ``a' = a(x, c x^mu + y) + mu c x^(mu-1) b(x, c x^mu + y)`` and
-    ``b' = b(x, c x^mu + y)``.  Both are shifted on one grid, and a monomial
-    times ``b'`` merges no terms, so its terms are added to
-    ``a(x, c x^mu + y)`` as they are moved.  ``c = 0`` returns ``w``.
+    ``b' = b(x, c x^mu + y)``.  ``c = 0`` returns ``w``; otherwise ``mu``
+    must be at least 1.
     """
     c = Fraction(c)
     mu = Fraction(mu)
     if c == 0:
         return w
-    if mu < 1:
-        raise ValueError("shift exponent mu must be >= 1")
-    d, den, (a2, b2) = _shift_on_grid(c, mu, w.a, w.b)
-    up, scale = int((mu - 1) * d), mu * c
-    # a' over den * (mu c's denominator): a2 scaled up, b2 by mu c's numerator
-    a2 = {key: v * scale.denominator for key, v in a2.items()}
-    _sum_terms((((n + up, ey), scale.numerator * v) for (n, ey), v in b2.items()), a2)
-    return OneForm(_off_grid(d, den * scale.denominator, a2), _off_grid(d, den, b2))
+    d, den, a, b = _transform_on_grid(_to_grid(w.a, w.b), c, mu)
+    return OneForm(_off_grid(d, den, a), _off_grid(d, den, b))
 
 
 def differential(f: PuiseuxPoly) -> OneForm:

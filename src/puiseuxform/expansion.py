@@ -30,6 +30,8 @@ from typing import NamedTuple
 from .algebra import (
     INFINITY,
     OneForm,
+    _to_grid,
+    _transform_on_grid,
     power_text,
     rat_str,
     signed_sum,
@@ -384,15 +386,18 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
 def invariance_residual(w: OneForm, branch: PuiseuxBranch):
     """x-valuation of ``a(x, Gamma) + b(x, Gamma) * Gamma'(x)``.
 
-    Replays the branch's steps through ``transform_form``: after
+    Replays the branch's steps on the form's integer grid, one
+    ``transform_form`` kernel call per step and no form in between: after
     ``y -> Gamma + y`` the dx coefficient at ``y = 0`` is exactly that sum.
-    Every step must have ``mu >= 1``, as ``transform_form`` requires.
+    A ``c = 0`` step changes nothing; any other step must have ``mu >= 1``.
     Returns ``INFINITY`` when the branch is exactly invariant.
     """
-    form = w
+    g = _to_grid(w.a, w.b)
     for s in branch.steps:
-        form = transform_form(form, s.c, s.mu)
-    return _axis_order(form)
+        g = _transform_on_grid(g, s.c, s.mu)
+    d, _den, a, _b = g
+    n = min((n for n, ey in a if ey == 0), default=None)
+    return INFINITY if n is None else Fraction(n, d)
 
 
 class CheckOutcome(NamedTuple):

@@ -14,6 +14,8 @@ it (see ``NewtonPolygon``), so ``cloud(w)`` is built only where it is shown.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -67,11 +69,17 @@ def _cross(o: CloudPoint, a: CloudPoint, b: CloudPoint) -> Fraction:
     return (a.i - o.i) * (b.j - o.j) - (a.j - o.j) * (b.i - o.i)
 
 
-def _polygon(points: Iterable[tuple[Fraction, int]]) -> NewtonPolygon:
-    rows: dict[int, Fraction] = {}  # the least abscissa of each row
+def _row_minima(points: Iterable[tuple]) -> dict:
+    """``{j: the least i}`` over ``points``; ``i`` may be any exact number."""
+    rows = {}
     for i, j in points:
         if j not in rows or i < rows[j]:
             rows[j] = i
+    return rows
+
+
+def _polygon(rows: dict[int, Fraction]) -> NewtonPolygon:
+    """The polygon of a cloud given by the least abscissa of each row."""
     if not rows:
         raise ValueError("empty cloud")
     # up the rows, a row minimum is on the staircase if left of all below
@@ -103,7 +111,7 @@ def newton_polygon(points: Iterable[CloudPoint | tuple[RatLike, int]]) -> Newton
     co-slopes strictly increase left to right.  Cloud points interior to a
     side are not vertices (they reappear in support contacts).
     """
-    return _polygon((Fraction(i), int(j)) for i, j in points)
+    return _polygon(_row_minima((Fraction(i), int(j)) for i, j in points))
 
 
 def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
@@ -119,8 +127,15 @@ def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
 
 
 def polygon_of(w: OneForm) -> NewtonPolygon:
-    """Newton polygon of the form, built from its term keys as they are."""
-    return _polygon([*w.a.terms, *((ex - 1, ey + 1) for ex, ey in w.b.terms)])
+    """Newton polygon of the form, its cloud scanned in integers: on the grid
+    ``d`` of its x-exponents, ``x^i`` is at ``i*d``; only row minima become
+    ``Fraction``s."""
+    a, b = w.a.terms, w.b.terms
+    d = math.lcm(*(ex.denominator for ex, _ey in a), *(ex.denominator for ex, _ey in b))
+    rows = _row_minima(itertools.chain(
+        ((ex.numerator * (d // ex.denominator), ey) for ex, ey in a),
+        ((ex.numerator * (d // ex.denominator) - d, ey + 1) for ex, ey in b)))
+    return _polygon({j: Fraction(n, d) for j, n in rows.items()})
 
 
 def cloud(w: OneForm) -> tuple[CloudPoint, ...]:

@@ -7,6 +7,9 @@ agreement between the two is meaningful:
   a finite set of probe co-slopes instead of a chain algorithm.
 * ``substituted_residual`` computes a branch's invariance residual by
   substituting the series into the form, not by replaying its shifts.
+* ``replayed_residual`` computes it by replaying the branch's steps
+  through the public ``transform_form``, one ``Fraction``-keyed form per
+  step, where the pipeline chains its shifts on one integer grid.
 * ``eval_ramified`` evaluates a polynomial at a point of the ramified
   grid, so identities can be checked numerically.
 * ``poly_from_pairs`` builds a polynomial from ``(ex, ey, coeff)`` triples.
@@ -29,9 +32,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from puiseuxform.algebra import (
-    INFINITY, OneForm, PuiseuxPoly, RatLike, TermKey, _sum_terms, _wrap,
+    INFINITY, OneForm, PuiseuxPoly, RatLike, TermKey, _sum_terms, _wrap, transform_form,
 )
-from puiseuxform.expansion import PuiseuxBranch
+from puiseuxform.expansion import PuiseuxBranch, _axis_order
 from puiseuxform.polygon import CloudPoint
 
 _ZERO = Fraction(0)
@@ -100,6 +103,20 @@ def substituted_residual(w: OneForm, branch: PuiseuxBranch):
     if total.is_zero():
         return INFINITY
     return min(ex for (ex, _ey) in total.terms)
+
+
+def replayed_residual(w: OneForm, branch: PuiseuxBranch):
+    """x-valuation of ``a(x, Gamma) + b(x, Gamma) * Gamma'(x)``.
+
+    Replays the branch's steps through ``transform_form``: after
+    ``y -> Gamma + y`` the dx coefficient at ``y = 0`` is exactly that sum.
+    Every step must have ``mu >= 1``, as ``transform_form`` requires.
+    Returns ``INFINITY`` when the branch is exactly invariant.
+    """
+    form = w
+    for s in branch.steps:
+        form = transform_form(form, s.c, s.mu)
+    return _axis_order(form)
 
 
 def _substitute_y(p: PuiseuxPoly, gamma: PuiseuxPoly) -> PuiseuxPoly:

@@ -7,15 +7,22 @@ from hypothesis import strategies as st
 
 from puiseuxform import (
     INFINITY,
+    BranchStep,
     OneForm,
+    PuiseuxBranch,
     PuiseuxPoly,
     differential,
+    invariance_residual,
     order,
     rat_str,
     substitute_shift,
     transform_form,
 )
-from reference import binomial_shift, eval_ramified, poly_from_pairs, term_product
+from puiseuxform.algebra import _off_grid, _to_grid, _transform_on_grid
+from reference import (
+    binomial_shift, eval_ramified, poly_from_pairs, replayed_residual,
+    substituted_residual, term_product,
+)
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
@@ -391,3 +398,57 @@ def test_grid_product_cancels_to_its_terms():
     # h x^(1/2) * h x^(1/3) y and y * -h^2 x^(5/6) cancel at x^(5/6) y
     assert (p * q).terms == {(Fraction(4, 3), 0): -h**3, (Fraction(1, 3), 2): h}
     assert (p * q).terms == term_product(p, q).terms
+
+
+# Chains of up to four steps: mu = 1 + k/den with den 1-6, so the grid
+# widens mid-chain, and c = 0 steps, whose mu may fall below 1.
+chain_steps = st.lists(st.one_of(
+    st.tuples(st.tuples(st.integers(1, 6), st.integers(0, 12)).map(
+        lambda t: 1 + Fraction(t[1], t[0])), wide_cs),
+    st.tuples(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+              st.just(Fraction(0))),
+), max_size=4)
+chain_polys = st.one_of(
+    st.just(PuiseuxPoly()),
+    _terms(6, range(1, 7), 3, 4, wide_coeffs).map(_poly_from))
+
+
+@settings(deadline=None)
+@given(chain_polys, chain_polys, chain_steps)
+def test_chained_grid_transforms_equal_composed_transforms(p, q, steps):
+    """k kernel calls on one grid, each turned back, give exactly the terms
+    of k composed ``transform_form`` calls and of k per-term transforms; the
+    replayed residual is the substituted one and that of the composed forms."""
+    g, w, ref = _to_grid(p, q), OneForm(p, q), OneForm(p, q)
+    for mu, c in steps:
+        g, w = _transform_on_grid(g, c, mu), transform_form(w, c, mu)
+        if c:
+            b2 = binomial_shift(ref.b, c, mu)
+            ref = OneForm(binomial_shift(ref.a, c, mu)
+                          + term_product(b2, PuiseuxPoly.monomial(mu * c, mu - 1)), b2)
+        d, den, a, b = g
+        chained = (_off_grid(d, den, a).terms, _off_grid(d, den, b).terms)
+        assert chained == (w.a.terms, w.b.terms) == (ref.a.terms, ref.b.terms)
+    branch = PuiseuxBranch(tuple(BranchStep(mu, c, 1, None, False) for mu, c in steps), None)
+    residual = invariance_residual(OneForm(p, q), branch)
+    assert residual == replayed_residual(OneForm(p, q), branch)
+    assert residual == substituted_residual(OneForm(p, q), branch)
+
+
+def test_a_chained_kernel_call_divides_out_its_input_content():
+    """A call first divides the content out of the record it is given, so a
+    chain's integers stay as small as one call's: a record scaled by any
+    constant leads to the same next record."""
+    w = OneForm(PuiseuxPoly({(0, 2): Fraction(1, 3), (1, 0): 1}), PuiseuxPoly({(0, 1): 2}))
+    d, den, a, b = once = _transform_on_grid(_to_grid(*w), Fraction(1, 2), Fraction(3, 2))
+    assert math.gcd(den, *a.values(), *b.values()) == 4  # q^top = 4 divides every numerator
+
+    def scaled(f):
+        return d, f(den), {key: f(v) for key, v in a.items()}, {key: f(v) for key, v in b.items()}
+
+    records = [_transform_on_grid(g, 5, Fraction(7, 3))
+               for g in (once, scaled(lambda v: v // 4), scaled(lambda v: v * 7))]
+    assert records[0] == records[1] == records[2]
+    d, den, a, b = records[0]
+    twice = transform_form(transform_form(w, Fraction(1, 2), Fraction(3, 2)), 5, Fraction(7, 3))
+    assert (_off_grid(d, den, a), _off_grid(d, den, b)) == twice

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,32 @@ def test_staircase_of_a_form_is_its_undominated_cloud(a, b):
         if not any(p != v and p.i <= v.i and p.j <= v.j for p in points)
     ]
     assert polygon_of(w).staircase == tuple(undominated)
+
+
+# x-exponents n/k for n in -3..24 and k in 1..6: a b term at ex = 0 sits at
+# abscissa -1, one at ex < 0 (or an a term at ex < -1) left of it
+ramified_terms = st.dictionaries(
+    st.tuples(st.builds(Fraction, st.integers(-3, 24), st.integers(1, 6)), st.integers(0, 4)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+    max_size=8,
+).map(PuiseuxPoly)
+
+
+@settings(deadline=None)
+@given(ramified_terms, ramified_terms)
+def test_polygon_of_a_ramified_form_is_the_polygon_of_its_cloud(a, b):
+    w = OneForm(a, b)
+    if a.is_zero() and b.is_zero():
+        return
+    try:
+        expected = newton_polygon(cloud(w))
+    except MalformedFormError as e:
+        with pytest.raises(MalformedFormError, match="^%s$" % re.escape(str(e))):
+            polygon_of(w)
+        return
+    got = polygon_of(w)
+    assert (got.staircase, got.vertices, got.sides) == expected
+    assert all(type(p.i) is Fraction for p in got.staircase)
 
 
 @settings(deadline=None)
