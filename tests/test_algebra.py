@@ -12,13 +12,18 @@ from puiseuxform import (
     PuiseuxBranch,
     PuiseuxPoly,
     differential,
+    expand_branches,
     invariance_residual,
+    lemma_checks,
+    multiplicity,
     order,
     rat_str,
     substitute_shift,
     transform_form,
+    y_order,
 )
 from puiseuxform.algebra import _off_grid, _to_grid, _transform_on_grid
+from puiseuxform.cli.parser import parse_poly, poly_to_text
 from reference import (
     binomial_shift, eval_ramified, poly_from_pairs, replayed_residual,
     substituted_residual, term_product,
@@ -452,3 +457,85 @@ def test_a_chained_kernel_call_divides_out_its_input_content():
     d, den, a, b = records[0]
     twice = transform_form(transform_form(w, Fraction(1, 2), Fraction(3, 2)), 5, Fraction(7, 3))
     assert (_off_grid(d, den, a), _off_grid(d, den, b)) == twice
+
+
+# -- one polynomial, whatever route built it ---------------------------------
+
+HALF = PuiseuxPoly.monomial(1, "1/2")
+FIFTH = PuiseuxPoly.monomial(1, "1/5")
+
+
+def _same(p: PuiseuxPoly, q: PuiseuxPoly) -> bool:
+    """``p == q`` both ways round, with the same sorted terms and repr."""
+    return p == q and q == p and p.items() == q.items() and repr(p) == repr(q)
+
+
+@settings(deadline=None)
+@given(wide_polys, wide_polys, wide_cs.filter(bool), wide_cs, wide_mus)
+def test_routes_to_one_poly_compare_equal(p, s, k, c, mu):
+    """The constructor, ``*``, ``**``, ``+``, ``diff_x`` and ``transform_form``
+    build equal polys whatever grid and denominator each route lands on."""
+    K = PuiseuxPoly.monomial(k)
+    routes = [
+        PuiseuxPoly(dict(p.terms)),
+        p * K * PuiseuxPoly.monomial(1 / k),  # content scaled up, then down
+        p * HALF**2 * FIFTH**5 * PuiseuxPoly.monomial(1, -2),  # x^(1/2)^2 x^(1/5)^5 x^-2
+        p + s * K - K * s,
+        (p * X).diff_x() - X * p.diff_x(),  # (xp)' - xp' = p
+        transform_form(transform_form(OneForm(p, s), c, mu), -c, mu).a,
+    ]
+    for r in routes:
+        assert _same(r, p)
+    if len(p.terms) == 1:
+        ((ex, ey), v), = p.items()
+        assert _same((p * HALF) ** 2, PuiseuxPoly({(2 * ex + 1, 2 * ey): v * v}))
+    assert dict((p * s).terms) == dict(term_product(p, s).terms)
+    assert dict(substitute_shift(p, c, mu).terms) == dict(binomial_shift(p, c, mu).terms)
+    w = transform_form(OneForm(p, s), c, mu)
+    b2 = binomial_shift(s, c, mu)
+    a2 = binomial_shift(p, c, mu) + term_product(b2, PuiseuxPoly.monomial(mu * c, mu - 1))
+    assert (dict(w.a.terms), dict(w.b.terms)) == (dict(a2.terms), dict(b2.terms))
+
+
+@settings(deadline=None)
+@given(wide_polys, wide_cs.filter(bool))
+def test_coeff_reads_every_key_form_on_any_grid(p, k):
+    """``coeff`` finds a term by an int, a ``Fraction`` or a ``"p/q"`` string,
+    on a poly whose grid and content are wider than its terms need; an
+    exponent off the grid or a fractional y-exponent finds none."""
+    wide = p * HALF**2 * PuiseuxPoly.monomial(k, -1) * PuiseuxPoly.monomial(1 / k)
+    for q in (p, wide):
+        for (ex, ey), v in p.items():
+            assert q.coeff(ex, ey) == q.coeff(rat_str(ex), ey) == v
+            if ex.denominator == 1:
+                assert q.coeff(int(ex), ey) == v
+            assert q.coeff(ex + Fraction(1, 7), ey) == 0  # off every grid of 1-6
+            assert q.coeff(ex, ey + Fraction(1, 2)) == 0
+            with pytest.raises(ValueError):
+                q.coeff(float(ex), ey)
+
+
+def test_integer_exponents_on_a_wider_grid_are_integer_exponents():
+    """Every x below is written ``(x^(1/2))^2``, so a form's integer exponents
+    may sit on the grid 2: the form must read as the one from integer keys."""
+    xx = HALF**2
+    narrow = differential((Y - X) ** 2 + X * Y**2 - X**3)
+    assert narrow == OneForm(2 * X - 2 * Y + Y**2 - 3 * X**2, 2 * Y - 2 * X + 2 * X * Y)
+    wides = [differential((Y - xx) ** 2 + xx * Y**2 - xx**3),
+             OneForm(2 * xx - 2 * Y + Y**2 - 3 * xx**2, 2 * Y - 2 * xx + 2 * xx * Y)]
+    expected = expand_branches(narrow)
+    assert expected.branches
+    for w in wides:
+        assert w == narrow
+        assert multiplicity(w) == multiplicity(narrow) == 2
+        assert y_order(w) == y_order(narrow)
+        assert order(w.a) == order(narrow.a) == 1 and type(order(w.a)) is Fraction
+        texts = [poly_to_text(p) for p in w]
+        assert texts == [poly_to_text(p) for p in narrow]
+        assert OneForm(*map(parse_poly, texts)) == narrow
+        got = expand_branches(w)
+        assert got == expected
+        assert [lemma_checks(t) for t in got.traces] == [
+            lemma_checks(t) for t in expected.traces]
+        assert [invariance_residual(w, b) for b in got.branches] == [
+            invariance_residual(narrow, b) for b in expected.branches]
