@@ -11,8 +11,9 @@ sparsely; a :class:`OneForm` is ``a(x, y) dx + b(x, y) dy``.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, NamedTuple, Tuple, Union
+from typing import Hashable, Iterable, NamedTuple, Tuple, Union
 
 RatLike = Union[int, str, Fraction]
 
@@ -87,15 +88,18 @@ TermKey = Tuple[Fraction, int]
 
 
 class PuiseuxPoly:
-    """Sparse polynomial in x and y with rational x-exponents.
+    """Sparse polynomial in x and y with rational x-exponents, on an integer grid.
 
-    ``terms`` maps ``(ex, ey)`` to a nonzero rational coefficient; the zero
-    polynomial has no terms.  ``ex`` is rational and ``ey`` is a
-    nonnegative integer.  Instances are treated as immutable: all
-    operations return new polynomials.
+    ``grid`` maps ``(ex*d, ey)`` to the nonzero int numerator of the term's
+    coefficient over ``den > 0``; neither ``d`` nor the content
+    ``gcd(den, *numerators)`` need be minimal (``x^(1/2) * x^(1/2)`` may sit
+    on ``d = 2``).  ``terms`` is the read-only view ``(ex, ey) -> coeff``:
+    ``ex`` a ``Fraction``, ``ey`` an int >= 0, ``coeff`` a reduced nonzero
+    ``Fraction``.  Instances are immutable: every operation returns a new
+    polynomial and none writes into a grid it is handed.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("d", "den", "grid")
 
     def __init__(self, terms: Mapping[TermKey, RatLike] | None = None):
         """Check outside input: floats, and y-exponents that are not nonnegative
@@ -109,7 +113,8 @@ class PuiseuxPoly:
                 raise ValueError("y-exponents must be nonnegative integers: %s" % ey)
             if c:
                 pairs.append(((Fraction(ex), int(ey)), c))
-        self.terms = _sum_terms(pairs)
+        p = _wrap(_sum_terms(pairs))
+        self.d, self.den, self.grid = p.d, p.den, p.grid
 
     @classmethod
     def monomial(cls, coeff: RatLike, ex: RatLike = 0, ey: int = 0) -> "PuiseuxPoly":
@@ -117,8 +122,17 @@ class PuiseuxPoly:
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[TermKey, Fraction]:
+        return _Terms(self)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.grid
+
+    def _numerator(self, ex, ey) -> int | None:
+        """``x**ex * y**ey``'s numerator for an int or ``Fraction`` ``ex``, or ``None``."""
+        q, d = ex.denominator, self.d
+        return None if d % q else self.grid.get((ex.numerator * (d // q), ey))
 
     def coeff(self, ex: RatLike, ey: int) -> Fraction:
         """Coefficient of ``x**ex * y**ey`` (zero when the term is absent).
@@ -127,13 +141,14 @@ class PuiseuxPoly:
         """
         if isinstance(ex, float):
             raise ValueError("floats are not exact: %r" % ex)
-        if isinstance(ex, str):
-            ex = Fraction(ex)
-        return self.terms.get((ex, ey), _ZERO)
+        v = self._numerator(Fraction(ex) if isinstance(ex, str) else ex, ey)
+        return _ZERO if v is None else Fraction(v, self.den)
 
     def items(self) -> tuple[tuple[TermKey, Fraction], ...]:
         """Terms sorted by ``(ex, ey)`` — the deterministic iteration order."""
-        return tuple(sorted(self.terms.items()))
+        d, den = self.d, self.den
+        return tuple(((Fraction(n, d), ey), Fraction(v, den))
+                     for (n, ey), v in sorted(self.grid.items()))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -149,12 +164,13 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _wrap(_sum_terms(other.terms.items(), dict(self.terms)))
+        d, den, g1, g2 = _to_grid(self, other)
+        return _record(d, den, _sum_terms(g2.items(), dict(g1)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "PuiseuxPoly":
-        return _wrap({k: -c for k, c in self.terms.items()})
+        return _record(self.d, self.den, {k: -v for k, v in self.grid.items()})
 
     def __sub__(self, other) -> "PuiseuxPoly":
         other = self._coerce(other)
@@ -172,8 +188,9 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d, den, g1, g2 = _to_grid(self, other)
-        return _off_grid(d, den * den, _sum_terms(
+        d = math.lcm(self.d, other.d)  # over den1 * den2: no numerator is lifted
+        g1, g2 = _rescale(self.grid, d // self.d), _rescale(other.grid, d // other.d)
+        return _record(d, self.den * other.den, _sum_terms(
             ((n1 + n2, ey1 + ey2), v1 * v2)
             for (n1, ey1), v1 in g1.items()
             for (n2, ey2), v2 in g2.items()
@@ -185,7 +202,7 @@ class PuiseuxPoly:
         n = int(n)
         if n < 0:
             raise ValueError("negative powers are not defined")
-        result = PuiseuxPoly.monomial(1)
+        result = _monomial(Fraction(1))
         base = self
         while n:
             if n & 1:
@@ -199,7 +216,8 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        _d, _den, g1, g2 = _to_grid(self, other)
+        return g1 == g2
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -211,31 +229,66 @@ class PuiseuxPoly:
 
     def diff_x(self) -> "PuiseuxPoly":
         """True derivative in x: ``x**ex`` contributes the factor ``ex``."""
-        return _wrap({(ex - 1, ey): c * ex for (ex, ey), c in self.terms.items() if ex})
+        d, g = self.d, self.grid
+        return _record(d, self.den * d, {(n - d, ey): v * n for (n, ey), v in g.items() if n})
 
     def diff_y(self) -> "PuiseuxPoly":
-        return _wrap({(ex, ey - 1): c * ey for (ex, ey), c in self.terms.items() if ey})
+        return _record(self.d, self.den,
+                       {(n, ey - 1): v * ey for (n, ey), v in self.grid.items() if ey})
 
 
-def _wrap(terms: dict[TermKey, Fraction]) -> PuiseuxPoly:
-    """A polynomial of ``terms``, which must already keep the term invariant."""
+class _Terms(Mapping):
+    """The read-only ``(Fraction, int) -> Fraction`` view of a poly's grid: ``len``
+    is the grid's, and a key or coefficient becomes a ``Fraction`` only when read."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: PuiseuxPoly):
+        self._p = p
+
+    def __len__(self) -> int:
+        return len(self._p.grid)
+
+    def __iter__(self):
+        d = self._p.d
+        return ((Fraction(n, d), ey) for n, ey in self._p.grid)
+
+    def __getitem__(self, key) -> Fraction:
+        ex, ey = key
+        v = self._p._numerator(ex, ey) if isinstance(ex, (int, Fraction)) else None
+        if v is None:
+            raise KeyError(key)
+        return Fraction(v, self._p.den)
+
+
+def _record(d: int, den: int, grid: dict) -> PuiseuxPoly:
+    """The poly of ``grid`` on ``d`` over ``den``, unvalidated; it takes ``grid`` over."""
     p = object.__new__(PuiseuxPoly)
-    p.terms = terms
+    p.d, p.den, p.grid = d, den, grid
     return p
+
+
+def _wrap(terms: Mapping[TermKey, Fraction]) -> PuiseuxPoly:
+    """The poly of ``Fraction``-keyed ``terms``, which must keep the term invariant."""
+    d = math.lcm(*(ex.denominator for ex, _ey in terms))
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return _record(d, den, {(ex.numerator * (d // ex.denominator), ey):
+                            c.numerator * (den // c.denominator)
+                            for (ex, ey), c in terms.items()})
 
 
 def _monomial(coeff: Fraction, ex: int = 0, ey: int = 0) -> PuiseuxPoly:
     """``coeff * x**ex * y**ey`` from exact parts, unvalidated; 0 gives the zero poly."""
-    return _wrap({(Fraction(ex), ey): coeff} if coeff else {})
+    return _record(1, coeff.denominator, {(ex, ey): coeff.numerator} if coeff else {})
 
 
 def _sum_terms(pairs: Iterable[tuple[Hashable, Fraction | int]],
                acc: dict | None = None) -> dict:
     """The sum of ``(key, coeff)`` pairs, added into ``acc``, which it takes over.
 
-    Coefficients are nonzero ``Fraction``s keyed by ``(Fraction, int >= 0)``
-    terms, or the nonzero int numerators of the grid kernels keyed by
-    ``(int, int)``; any exact number type sums the same way.
+    Coefficients are the nonzero int numerators of a grid keyed by
+    ``(int, int)``, or nonzero ``Fraction``s keyed by ``(Fraction, int >= 0)``
+    terms; any exact number type sums the same way.
     """
     acc = {} if acc is None else acc
     for key, c in pairs:
@@ -260,27 +313,24 @@ def order(p: PuiseuxPoly):
     """Minimum of ``ex + ey`` over the terms; ``INFINITY`` for the zero poly."""
     if p.is_zero():
         return INFINITY
-    return min(ex + ey for (ex, ey) in p.terms)
+    return Fraction(min(n + ey * p.d for (n, ey) in p.grid), p.d)
+
+
+def _rescale(grid: dict, widen: int, lift: int = 1) -> dict:
+    """``grid`` with each key ``(n, ey)`` moved to ``(n*widen, ey)`` and each
+    numerator times ``lift``: ``grid`` itself when both are 1."""
+    if widen > 1:
+        return {(n * widen, ey): v * lift for (n, ey), v in grid.items()}
+    return {key: v * lift for key, v in grid.items()} if lift > 1 else grid
 
 
 def _to_grid(*polys: PuiseuxPoly) -> tuple:
-    """``polys`` in integers: ``d``, the lcm of every x-exponent's
-    denominator; ``den``, the lcm of every coefficient's denominator; and
-    each poly's terms keyed ``(ex*d, ey)`` with the int numerator
-    ``coeff*den``, so that their sums and products need no gcd."""
-    d = math.lcm(*(ex.denominator for p in polys for ex, _ey in p.terms))
-    den = math.lcm(*(v.denominator for p in polys for v in p.terms.values()))
-    return d, den, *[
-        {(ex.numerator * (d // ex.denominator), ey): v.numerator * (den // v.denominator)
-         for (ex, ey), v in p.terms.items()}
-        for p in polys]
-
-
-def _off_grid(d: int, den: int, grid: dict) -> PuiseuxPoly:
-    """The poly of ``grid``'s terms, keyed ``(ex*d, ey)`` with numerators over
-    ``den``: one Fraction per term and one per ``ex``."""
-    xs = {n: Fraction(n, d) for n, _ey in grid}
-    return _wrap({(xs[n], ey): Fraction(v, den) for (n, ey), v in grid.items()})
+    """``d`` and ``den``, the lcms of the polys' own, and each poly's grid on
+    them, so that sums need no gcd.  A poly already on them gives its own
+    grid, which the caller must not write into."""
+    d = math.lcm(*(p.d for p in polys))
+    den = math.lcm(*(p.den for p in polys))
+    return d, den, *[_rescale(p.grid, d // p.d, den // p.den) for p in polys]
 
 
 def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
@@ -294,7 +344,7 @@ def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
         raise ValueError("shift exponent mu must be >= 1")
     if c == 0:
         return p
-    return transform_form(OneForm(p, _wrap({})), c, mu).a  # b = 0 adds nothing to a'
+    return transform_form(OneForm(p, PuiseuxPoly()), c, mu).a  # b = 0 adds nothing to a'
 
 
 def _transform_on_grid(g: tuple, c: Fraction, mu: Fraction) -> tuple:
@@ -302,8 +352,8 @@ def _transform_on_grid(g: tuple, c: Fraction, mu: Fraction) -> tuple:
     :func:`_to_grid`, and the record of the result; ``c = 0`` returns ``g``.
 
     The content ``gcd(den, *numerators)`` of ``g`` is divided out first, so
-    a chain of calls keeps its integers small; ``transform_form``'s fresh
-    grid has content 1.  The grid widens to ``lcm(d, mu.denominator)``.  For
+    a chain of calls, such as the search's from node to node, keeps its
+    integers small.  The grid widens to ``lcm(d, mu.denominator)``.  For
     ``c = p/q`` and ``top`` the top y-exponent, each row factor
     ``C(ey, l) * c**l`` is the int ``C(ey, l) * p**l * q**(top-l)``.
     """
@@ -312,12 +362,11 @@ def _transform_on_grid(g: tuple, c: Fraction, mu: Fraction) -> tuple:
     if mu < 1:
         raise ValueError("shift exponent mu must be >= 1")
     d, den, a, b = g
-    k = math.gcd(den, *a.values(), *b.values())  # 1 on a fresh grid
+    k = math.gcd(den, *a.values(), *b.values())  # 1 on a constructed poly
     if k > 1:
         den, a, b = den // k, *({key: v // k for key, v in h.items()} for h in (a, b))
     widen = math.lcm(d, mu.denominator) // d
-    if widen > 1:
-        d, a, b = d * widen, *({(n * widen, ey): v for (n, ey), v in h.items()} for h in (a, b))
+    d, a, b = d * widen, _rescale(a, widen), _rescale(b, widen)
     step, up, scale = int(mu * d), int((mu - 1) * d), mu * c
     top = max((ey for h in (a, b) for _n, ey in h), default=0)
     p, q, m = c.numerator, c.denominator, scale.denominator
@@ -325,13 +374,13 @@ def _transform_on_grid(g: tuple, c: Fraction, mu: Fraction) -> tuple:
     rows = [[(l, step * l, math.comb(ey, l) * p**l * q**(top - l)) for l in range(1, ey + 1)]
             for ey in range(top + 1)]
     lift = q**top
-    a, b = (_sum_terms(  # the l = 0 terms are the input's own, times q^top
+    a, b = (_sum_terms(  # into a copy of the input's own l = 0 terms, times q^top
         (((n + off, ey - l), v * f) for (n, ey), v in h.items() for l, off, f in rows[ey]),
         {key: v * lift for key, v in h.items()}) for h in (a, b))
     # a' = a(x, c x^mu + y) + mu c x^(mu-1) b' and b' over den q^top m
-    a = {key: v * m for key, v in a.items()} if m > 1 else a
+    a = _rescale(a, 1, m)
     _sum_terms((((n + up, ey), scale.numerator * v) for (n, ey), v in b.items()), a)
-    b = {key: v * m for key, v in b.items()} if m > 1 else b
+    b = _rescale(b, 1, m)
     return d, den * lift * m, a, b
 
 
@@ -348,7 +397,7 @@ def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
     if c == 0:
         return w
     d, den, a, b = _transform_on_grid(_to_grid(w.a, w.b), c, mu)
-    return OneForm(_off_grid(d, den, a), _off_grid(d, den, b))
+    return OneForm(_record(d, den, a), _record(d, den, b))
 
 
 def differential(f: PuiseuxPoly) -> OneForm:

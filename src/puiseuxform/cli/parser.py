@@ -6,7 +6,8 @@ import math
 from fractions import Fraction
 
 from ..algebra import (
-    OneForm, PuiseuxPoly, _monomial, _sum_terms, _wrap, power_text, rat_str, signed_sum,
+    OneForm, PuiseuxPoly, _monomial, _record, _sum_terms, _to_grid, power_text, rat_str,
+    signed_sum,
 )
 
 
@@ -115,14 +116,15 @@ class _Parser:
     def parse_expr(self) -> PuiseuxPoly:
         # one dict sums the terms: adding each term to a polynomial copies
         # the polynomial, so a sum of n terms took time quadratic in n
-        pairs = []
+        terms = []
         sign = -1 if self.peek() == "-" else 1
         if self.peek() in ("+", "-"):
             self.next()
         while True:
-            pairs += [(key, sign * c) for key, c in self.parse_term().terms.items()]
+            terms.append(self.parse_term() if sign > 0 else -self.parse_term())
             if self.peek() not in ("+", "-"):
-                return _wrap(_sum_terms(pairs))
+                d, den, *grids = _to_grid(*terms)
+                return _record(d, den, _sum_terms(kv for g in grids for kv in g.items()))
             sign = -1 if self.next()[0] == "-" else 1
 
     def parse_term(self) -> PuiseuxPoly:
@@ -132,7 +134,7 @@ class _Parser:
                 self.next()
             pos = self.here()
             factor = self.parse_factor()
-            t1, t2 = len(acc.terms), len(factor.terms)
+            t1, t2 = len(acc.grid), len(factor.grid)
             if min(t1, t2) > 1 and t1 * t2 > _MAX_TERMS:
                 raise ParseError(
                     "product of a %d-term and a %d-term sum can have %d terms, "
@@ -169,7 +171,7 @@ class _Parser:
             self.depth -= 1
             pos = self.here()
             exp = self.parse_exponent()
-            t = len(inner.terms)
+            t = len(inner.grid)
             if exp > _MAX_POWER and t > 1:
                 raise ParseError(
                     "power %d of a sum is above the limit %d" % (exp, _MAX_POWER), pos

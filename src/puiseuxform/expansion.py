@@ -316,14 +316,14 @@ def series_text(steps) -> str:
 
 def _axis_order(w: OneForm):
     # ord_x a(x, 0); INFINITY means the zero continuation is exactly invariant
-    return min((ex for (ex, ey) in w.a.terms if ey == 0), default=INFINITY)
+    n = min((n for (n, ey) in w.a.grid if ey == 0), default=None)
+    return INFINITY if n is None else Fraction(n, w.a.d)
 
 
 def _validate_expandable(w: OneForm) -> None:
     for p in (w.a, w.b):
-        for (ex, _ey) in p.terms:
-            if ex.denominator != 1:
-                raise ValueError("expansion requires integer input exponents")
+        if any(n % p.d for n, _ey in p.grid):
+            raise ValueError("expansion requires integer input exponents")
     if w.a.is_zero() and w.b.is_zero():
         raise ValueError("cannot expand the zero form")
     if w.a.coeff(0, 0) != 0 or w.b.coeff(0, 0) != 0:

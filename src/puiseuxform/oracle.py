@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import INFINITY, OneForm, PuiseuxPoly, _wrap, differential
+from .algebra import INFINITY, OneForm, PuiseuxPoly, _record, _to_grid, differential
 from .expansion import BranchStep, PuiseuxBranch
 
 
@@ -61,12 +61,12 @@ def branch_to_curve(coeffs: dict[int, Fraction], m: int) -> PuiseuxPoly:
     for k in range(1, m + 1):
         if k > 1:
             power = power * gamma
-        whole = {key: f for key, f in power.terms.items() if key[0].denominator == 1}
-        q.append(_wrap(whole))
+        whole = {key: v for key, v in power.grid.items() if key[0] % power.d == 0}
+        q.append(_record(power.d, power.den, whole))
         c.append(sum((c[k - i] * q[i] for i in range(1, k)), q[k]) * Fraction(-m, k))
-    return _wrap(
-        {(ex, m - k): f for k, ck in enumerate(c) for (ex, _ey), f in ck.terms.items()}
-    )
+    d, den, *grids = _to_grid(*c)
+    return _record(d, den, {(n, m - k): v for k, g in enumerate(grids)
+                            for (n, _ey), v in g.items()})
 
 
 class GeneratedCase(NamedTuple):

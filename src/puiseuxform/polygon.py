@@ -15,11 +15,10 @@ it (see ``NewtonPolygon``), so ``cloud(w)`` is built only where it is shown.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .algebra import INFINITY, OneForm, RatLike, order
+from .algebra import INFINITY, OneForm, RatLike, _to_grid, order
 
 
 class MalformedFormError(ValueError):
@@ -128,13 +127,10 @@ def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
 
 def polygon_of(w: OneForm) -> NewtonPolygon:
     """Newton polygon of the form, its cloud scanned in integers: on the grid
-    ``d`` of its x-exponents, ``x^i`` is at ``i*d``; only row minima become
+    ``d`` of both coefficients, ``x^i`` is at ``i*d``; only row minima become
     ``Fraction``s."""
-    a, b = w.a.terms, w.b.terms
-    d = math.lcm(*(ex.denominator for ex, _ey in a), *(ex.denominator for ex, _ey in b))
-    rows = _row_minima(itertools.chain(
-        ((ex.numerator * (d // ex.denominator), ey) for ex, ey in a),
-        ((ex.numerator * (d // ex.denominator) - d, ey + 1) for ex, ey in b)))
+    d, _den, a, b = _to_grid(w.a, w.b)
+    rows = _row_minima(itertools.chain(a, ((n - d, ey + 1) for n, ey in b)))
     return _polygon({j: Fraction(n, d) for j, n in rows.items()})
 
 
@@ -153,9 +149,8 @@ def multiplicity(w: OneForm) -> int:
     """``min(order(a), order(b)) + 1`` for a form with integer exponents."""
     orders = []
     for p in (w.a, w.b):
-        for (ex, _ey) in p.terms:
-            if ex.denominator != 1:
-                raise ValueError("multiplicity requires integer exponents")
+        if any(n % p.d for n, _ey in p.grid):
+            raise ValueError("multiplicity requires integer exponents")
         o = order(p)
         if o is not INFINITY:
             orders.append(o)

@@ -8,8 +8,8 @@ agreement between the two is meaningful:
 * ``substituted_residual`` computes a branch's invariance residual by
   substituting the series into the form, not by replaying its shifts.
 * ``replayed_residual`` computes it by replaying the branch's steps
-  through the public ``transform_form``, one ``Fraction``-keyed form per
-  step, where the pipeline chains its shifts on one integer grid.
+  through the public ``transform_form``, one form per step, where the
+  pipeline chains the shift kernel on one record with no form in between.
 * ``eval_ramified`` evaluates a polynomial at a point of the ramified
   grid, so identities can be checked numerically.
 * ``poly_from_pairs`` builds a polynomial from ``(ex, ey, coeff)`` triples.

@@ -1,4 +1,5 @@
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from puiseuxform import (
     transform_form,
     y_order,
 )
-from puiseuxform.algebra import _off_grid, _to_grid, _transform_on_grid
+from puiseuxform.algebra import _record, _to_grid, _transform_on_grid
 from puiseuxform.cli.parser import parse_poly, poly_to_text
 from reference import (
     binomial_shift, eval_ramified, poly_from_pairs, replayed_residual,
@@ -432,7 +433,7 @@ def test_chained_grid_transforms_equal_composed_transforms(p, q, steps):
             ref = OneForm(binomial_shift(ref.a, c, mu)
                           + term_product(b2, PuiseuxPoly.monomial(mu * c, mu - 1)), b2)
         d, den, a, b = g
-        chained = (_off_grid(d, den, a).terms, _off_grid(d, den, b).terms)
+        chained = (_record(d, den, a).terms, _record(d, den, b).terms)
         assert chained == (w.a.terms, w.b.terms) == (ref.a.terms, ref.b.terms)
     branch = PuiseuxBranch(tuple(BranchStep(mu, c, 1, None, False) for mu, c in steps), None)
     residual = invariance_residual(OneForm(p, q), branch)
@@ -456,7 +457,7 @@ def test_a_chained_kernel_call_divides_out_its_input_content():
     assert records[0] == records[1] == records[2]
     d, den, a, b = records[0]
     twice = transform_form(transform_form(w, Fraction(1, 2), Fraction(3, 2)), 5, Fraction(7, 3))
-    assert (_off_grid(d, den, a), _off_grid(d, den, b)) == twice
+    assert (_record(d, den, a), _record(d, den, b)) == twice
 
 
 # -- one polynomial, whatever route built it ---------------------------------
@@ -539,3 +540,65 @@ def test_integer_exponents_on_a_wider_grid_are_integer_exponents():
             lemma_checks(t) for t in expected.traces]
         assert [invariance_residual(w, b) for b in got.branches] == [
             invariance_residual(narrow, b) for b in expected.branches]
+
+
+def test_terms_is_a_read_only_mapping_view():
+    p = PuiseuxPoly({("3/2", 1): "5/4", (0, 2): -3, (2, 0): 1})
+    want = {(Fraction(3, 2), 1): Fraction(5, 4), (Fraction(0), 2): Fraction(-3),
+            (Fraction(2), 0): Fraction(1)}
+    for q in (p, p * HALF**2 * PuiseuxPoly.monomial(7, -1) * Fraction(1, 7)):
+        t = q.terms
+        assert isinstance(t, Mapping) and len(t) == 3
+        assert sorted(t) == sorted(want) == sorted(t.keys())
+        assert all(type(ex) is Fraction and type(ey) is int for ex, ey in t)
+        assert all(type(c) is Fraction for c in t.values())
+        assert sorted(t.values()) == sorted(want.values())
+        assert sorted(t.items()) == sorted(want.items()) == list(q.items())
+        assert t == want and want == t and dict(t) == want
+        assert t != {} and {} != t and t != dict(want, **{"x": 1})
+        assert (Fraction(3, 2), 1) in t and (2, 0) in t
+        assert (Fraction(1, 2), 1) not in t and (2, 1) not in t and ("3/2", 1) not in t
+        assert t[(Fraction(3, 2), 1)] == t.get((Fraction(3, 2), 1)) == Fraction(5, 4)
+        assert t.get((1, 1)) is None and t.get((1, 1), 0) == 0
+        with pytest.raises(KeyError):
+            t[(Fraction(7, 3), 0)]
+        with pytest.raises(TypeError):
+            t[(Fraction(1), 0)] = Fraction(1)
+        with pytest.raises(TypeError):
+            del t[(Fraction(2), 0)]
+        assert q.terms == want  # unchanged
+
+
+def test_a_record_need_not_be_minimal():
+    """``x^(1/2) * x^(1/2)`` stays on the grid 2 and ``2/3 * 3/2`` over 6;
+    both are the polys the constructor puts on the least grid."""
+    xx, one = HALF * HALF, PuiseuxPoly.monomial("2/3") * PuiseuxPoly.monomial("3/2")
+    assert (xx.d, xx.den, xx.grid) == (2, 1, {(2, 0): 1})
+    assert (one.d, one.den, one.grid) == (1, 6, {(0, 0): 6})
+    assert xx == X and one == 1 and xx.terms == X.terms and one.terms == {(0, 0): 1}
+    assert (X.d, X.den, X.grid) == (1, 1, {(1, 0): 1})
+    narrow, wide = differential(Y**2 - X**3), differential(Y**2 - xx**3)
+    assert wide == narrow and (wide.a.d, wide.b.d) == (2, 2)
+
+
+def test_no_operation_writes_into_a_grid_it_is_handed():
+    """On one grid and denominator, ``_to_grid`` hands ``+`` and the shift
+    kernel the polys' own dicts; neither may write into them."""
+    p = PuiseuxPoly({(0, 2): 3, (1, 0): -2, ("1/2", 1): 1})
+    q = PuiseuxPoly({(0, 2): -3, ("5/2", 1): 5, ("1/2", 1): 7})
+    assert (p.d, p.den) == (q.d, q.den) == (2, 1)
+    before = [p.items(), q.items()]
+    results = [p + q, q + p, p - q, q - p, -p, p * q, p**3, p.diff_x(), p.diff_y(),
+               substitute_shift(p, 2, 2)]
+    w = OneForm(p, q)
+    for c, mu in [(2, 2), (3, Fraction(3, 2)), (Fraction(1, 2), 2)]:
+        w1 = transform_form(w, c, mu)  # c = 2, mu = 2 lifts nothing and widens nothing
+        g = _to_grid(*w1)
+        assert g[2] is w1.a.grid and g[3] is w1.b.grid
+        _transform_on_grid(g, 2, 2)
+        assert transform_form(w, c, mu) == w1 and w1 == transform_form(w, c, mu)
+        assert [w1.a.items(), w1.b.items()] == [r.items() for r in transform_form(w, c, mu)]
+    assert [p.items(), q.items()] == before
+    assert [r.items() for r in results] == [
+        r.items() for r in [p + q, q + p, p - q, q - p, -p, p * q, p**3, p.diff_x(),
+                            p.diff_y(), substitute_shift(p, 2, 2)]]
