@@ -1,11 +1,14 @@
 """Exact arithmetic for ramified plane polynomials and 1-forms.
 
 Everything in this package is computed over the rationals: coefficients are
-`fractions.Fraction` values, x-exponents are rationals and y-exponents are
-nonnegative integers.  No floats appear anywhere.
+rationals, read as `fractions.Fraction` values, x-exponents are rationals and
+y-exponents are nonnegative integers.  No floats appear anywhere.
 
 A :class:`PuiseuxPoly` is a finite sum ``sum coeff * x**ex * y**ey`` stored
-sparsely; a :class:`OneForm` is ``a(x, y) dx + b(x, y) dy``.
+sparsely on an integer grid (int exponent numerators over one ``d``, int
+coefficient numerators over one ``den``), so its arithmetic is on ints; its
+``terms`` is a read-only ``Fraction`` view.  A :class:`OneForm` is
+``a(x, y) dx + b(x, y) dy``.
 """
 
 from __future__ import annotations
@@ -344,7 +347,7 @@ def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
         raise ValueError("shift exponent mu must be >= 1")
     if c == 0:
         return p
-    return transform_form(OneForm(p, PuiseuxPoly()), c, mu).a  # b = 0 adds nothing to a'
+    return transform_form(OneForm(p, _wrap({})), c, mu).a  # b = 0 adds nothing to a'
 
 
 def _transform_on_grid(g: tuple, c: Fraction, mu: Fraction) -> tuple:
