@@ -492,10 +492,6 @@ def test_routes_to_one_poly_compare_equal(p, s, k, c, mu):
         assert _same((p * HALF) ** 2, PuiseuxPoly({(2 * ex + 1, 2 * ey): v * v}))
     assert dict((p * s).terms) == dict(term_product(p, s).terms)
     assert dict(substitute_shift(p, c, mu).terms) == dict(binomial_shift(p, c, mu).terms)
-    w = transform_form(OneForm(p, s), c, mu)
-    b2 = binomial_shift(s, c, mu)
-    a2 = binomial_shift(p, c, mu) + term_product(b2, PuiseuxPoly.monomial(mu * c, mu - 1))
-    assert (dict(w.a.terms), dict(w.b.terms)) == (dict(a2.terms), dict(b2.terms))
 
 
 @settings(deadline=None)
@@ -588,8 +584,12 @@ def test_no_operation_writes_into_a_grid_it_is_handed():
     q = PuiseuxPoly({(0, 2): -3, ("5/2", 1): 5, ("1/2", 1): 7})
     assert (p.d, p.den) == (q.d, q.den) == (2, 1)
     before = [p.items(), q.items()]
-    results = [p + q, q + p, p - q, q - p, -p, p * q, p**3, p.diff_x(), p.diff_y(),
-               substitute_shift(p, 2, 2)]
+
+    def results():
+        return [r.items() for r in (p + q, q + p, p - q, q - p, -p, p * q, p**3, p.diff_x(),
+                                     p.diff_y(), substitute_shift(p, 2, 2))]
+
+    first = results()
     w = OneForm(p, q)
     for c, mu in [(2, 2), (3, Fraction(3, 2)), (Fraction(1, 2), 2)]:
         w1 = transform_form(w, c, mu)  # c = 2, mu = 2 lifts nothing and widens nothing
@@ -599,6 +599,4 @@ def test_no_operation_writes_into_a_grid_it_is_handed():
         assert transform_form(w, c, mu) == w1 and w1 == transform_form(w, c, mu)
         assert [w1.a.items(), w1.b.items()] == [r.items() for r in transform_form(w, c, mu)]
     assert [p.items(), q.items()] == before
-    assert [r.items() for r in results] == [
-        r.items() for r in [p + q, q + p, p - q, q - p, -p, p * q, p**3, p.diff_x(),
-                            p.diff_y(), substitute_shift(p, 2, 2)]]
+    assert results() == first
