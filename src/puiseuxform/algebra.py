@@ -5,10 +5,8 @@ rationals, read as `fractions.Fraction` values, x-exponents are rationals and
 y-exponents are nonnegative integers.  No floats appear anywhere.
 
 A :class:`PuiseuxPoly` is a finite sum ``sum coeff * x**ex * y**ey`` stored
-sparsely on an integer grid (int exponent numerators over one ``d``, int
-coefficient numerators over one ``den``), so its arithmetic is on ints; its
-``terms`` is a read-only ``Fraction`` view.  A :class:`OneForm` is
-``a(x, y) dx + b(x, y) dy``.
+sparsely on an integer grid, so its arithmetic is on ints, with ``terms`` a
+read-only ``Fraction`` view; a :class:`OneForm` is ``a(x, y) dx + b(x, y) dy``.
 """
 
 from __future__ import annotations
@@ -95,11 +93,10 @@ class PuiseuxPoly:
 
     ``grid`` maps ``(ex*d, ey)`` to the nonzero int numerator of the term's
     coefficient over ``den > 0``; neither ``d`` nor the content
-    ``gcd(den, *numerators)`` need be minimal (``x^(1/2) * x^(1/2)`` may sit
-    on ``d = 2``).  ``terms`` is the read-only view ``(ex, ey) -> coeff``:
-    ``ex`` a ``Fraction``, ``ey`` an int >= 0, ``coeff`` a reduced nonzero
-    ``Fraction``.  Instances are immutable: every operation returns a new
-    polynomial and none writes into a grid it is handed.
+    ``gcd(den, *numerators)`` need be minimal.  ``terms`` is the read-only
+    view ``(ex, ey) -> coeff``: ``ex`` a ``Fraction``, ``ey`` an int >= 0,
+    ``coeff`` a reduced nonzero ``Fraction``.  Instances are immutable: every
+    operation returns a new polynomial and none writes into a grid it is handed.
     """
 
     __slots__ = ("d", "den", "grid")
@@ -206,7 +203,10 @@ class PuiseuxPoly:
         if n < 0:
             raise ValueError("negative powers are not defined")
         result = _monomial(Fraction(1))
-        base = self
+        # without the content gcd(den, *numerators), a term's powers hold its reduced bits
+        k = math.gcd(self.den, *self.grid.values())
+        base = self if k == 1 else _record(self.d, self.den // k,
+                                           {key: v // k for key, v in self.grid.items()})
         while n:
             if n & 1:
                 result = result * base
@@ -257,7 +257,7 @@ class _Terms(Mapping):
         return ((Fraction(n, d), ey) for n, ey in self._p.grid)
 
     def __getitem__(self, key) -> Fraction:
-        ex, ey = key
+        ex, ey = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
         v = self._p._numerator(ex, ey) if isinstance(ex, (int, Fraction)) else None
         if v is None:
             raise KeyError(key)

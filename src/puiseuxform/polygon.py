@@ -15,10 +15,11 @@ it (see ``NewtonPolygon``), so ``cloud(w)`` is built only where it is shown.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .algebra import INFINITY, OneForm, RatLike, _to_grid, order
+from .algebra import INFINITY, OneForm, RatLike, _rescale, order
 
 
 class MalformedFormError(ValueError):
@@ -126,10 +127,10 @@ def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
 
 
 def polygon_of(w: OneForm) -> NewtonPolygon:
-    """Newton polygon of the form, its cloud scanned in integers: on the grid
-    ``d`` of both coefficients, ``x^i`` is at ``i*d``; only row minima become
-    ``Fraction``s."""
-    d, _den, a, b = _to_grid(w.a, w.b)
+    """Newton polygon of the form, its cloud scanned in integers on the grid
+    ``d`` of both coefficients (``x^i`` at ``i*d``); only row minima are ``Fraction``s."""
+    d = math.lcm(w.a.d, w.b.d)  # only the keys are read: no numerator is lifted
+    a, b = _rescale(w.a.grid, d // w.a.d), _rescale(w.b.grid, d // w.b.d)
     rows = _row_minima(itertools.chain(a, ((n - d, ey + 1) for n, ey in b)))
     return _polygon({j: Fraction(n, d) for j, n in rows.items()})
 

@@ -150,6 +150,15 @@ def test_power_equals_repeated_multiplication():
         acc = acc * p
 
 
+def test_power_stores_only_its_reduced_coefficients_bits():
+    # (x/2 + x/2) sits as 2/2 and 2/3 * 3/2 * x as 6/6; powering the stored
+    # integers as they are would hold 2**n over 2**n
+    for p in (Fraction(1, 2) * X + Fraction(1, 2) * X, Fraction(2, 3) * X * Fraction(3, 2)):
+        assert p.den > 1
+        q = p**64
+        assert q == X**64 and (q.den, set(q.grid.values())) == (1, {1})
+
+
 def test_diff_x_uses_true_fractional_derivative():
     p = poly_from_pairs([(Fraction(3, 2), 0, 1)])  # x^(3/2)
     assert p.diff_x() == poly_from_pairs([(Fraction(1, 2), 0, Fraction(3, 2))])
@@ -556,6 +565,7 @@ def test_terms_is_a_read_only_mapping_view():
         assert (Fraction(1, 2), 1) not in t and (2, 1) not in t and ("3/2", 1) not in t
         assert t[(Fraction(3, 2), 1)] == t.get((Fraction(3, 2), 1)) == Fraction(5, 4)
         assert t.get((1, 1)) is None and t.get((1, 1), 0) == 0
+        assert 5 not in t and (1, 2, 3) not in t and t.get("abc") is None
         with pytest.raises(KeyError):
             t[(Fraction(7, 3), 0)]
         with pytest.raises(TypeError):

@@ -159,6 +159,9 @@ def test_one_parse_charges_all_its_expansions_to_one_budget():
 def test_power_coefficient_bits_are_limited():
     assert parse_poly("(2*x)^%d" % _MAX_BITS) == PuiseuxPoly.monomial(2**_MAX_BITS, _MAX_BITS)
     assert parse_poly("(-x)^1000000001") == -PuiseuxPoly.monomial(1, 1000000001)
+    # a term whose stored integers share a factor powers as its reduced coefficient
+    for text in ("(1/2*x + 1/2*x)^1000000001", "(2/3*3/2*x)^1000000001"):
+        assert parse_poly(text) == PuiseuxPoly.monomial(1, 1000000001)
     with pytest.raises(ParseError, match="coefficient of %d bits" % (_MAX_BITS + 1)):
         parse_poly("(2*x)^%d" % (_MAX_BITS + 1))
     with pytest.raises(ParseError, match="coefficient of 1280 bits"):
