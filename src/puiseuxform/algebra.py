@@ -129,10 +129,10 @@ class PuiseuxPoly:
     def is_zero(self) -> bool:
         return not self.grid
 
-    def _numerator(self, ex, ey) -> int | None:
-        """``x**ex * y**ey``'s numerator for an int or ``Fraction`` ``ex``, or ``None``."""
-        q, d = ex.denominator, self.d
-        return None if d % q else self.grid.get((ex.numerator * (d // q), ey))
+    def _numerator(self, n: int, q: int, ey: int) -> int | None:
+        """The numerator of ``x**(n/q) * y**ey``, or ``None`` when the term is absent."""
+        d = self.d
+        return None if d % q else self.grid.get((n * (d // q), ey))
 
     def coeff(self, ex: RatLike, ey: int) -> Fraction:
         """Coefficient of ``x**ex * y**ey`` (zero when the term is absent).
@@ -141,7 +141,8 @@ class PuiseuxPoly:
         """
         if isinstance(ex, float):
             raise ValueError("floats are not exact: %r" % ex)
-        v = self._numerator(Fraction(ex) if isinstance(ex, str) else ex, ey)
+        ex = Fraction(ex) if isinstance(ex, str) else ex
+        v = self._numerator(ex.numerator, ex.denominator, ey)
         return _ZERO if v is None else Fraction(v, self.den)
 
     def items(self) -> tuple[tuple[TermKey, Fraction], ...]:
@@ -258,7 +259,8 @@ class _Terms(Mapping):
 
     def __getitem__(self, key) -> Fraction:
         ex, ey = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
-        v = self._p._numerator(ex, ey) if isinstance(ex, (int, Fraction)) else None
+        v = (self._p._numerator(ex.numerator, ex.denominator, ey)
+             if isinstance(ex, (int, Fraction)) else None)
         if v is None:
             raise KeyError(key)
         return Fraction(v, self._p.den)

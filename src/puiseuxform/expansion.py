@@ -128,75 +128,87 @@ def characteristic_poly(
     """The polynomial whose nonzero rational roots are admissible coefficients.
 
     It is returned as its nonzero ``(j, a_ij + mu*b_(i+1)(j-1))`` pairs,
-    sorted by ``j``; an empty tuple means the contact is dicritical.
+    sorted by ``j``; an empty tuple means the contact is dicritical.  Each
+    pair is summed from the int numerators of ``a``, ``b`` and ``mu``.
     """
+    a, b, m, k = w.a, w.b, contact.mu.numerator, contact.mu.denominator
     coeffs = []
     for p in contact.points:
-        combo = w.a.coeff(p.i, p.j) + contact.mu * w.b.coeff(p.i + 1, p.j - 1)
-        if combo != 0:
-            coeffs.append((p.j, combo))
+        n, q = p.i.numerator, p.i.denominator
+        combo = ((a._numerator(n, q, p.j) or 0) * b.den * k
+                 + m * (b._numerator(n + q, q, p.j - 1) or 0) * a.den)
+        if combo:
+            coeffs.append((p.j, Fraction(combo, a.den * b.den * k)))
     return tuple(sorted(coeffs))
 
 
-def _eval(f, x):
-    """``f(x)`` by Horner's rule; ``f`` lists coefficients from degree 0 up."""
-    value = 0
+def _eval(f, n: int, q: int = 1) -> int:
+    """``q**deg(f) * f(n/q)`` by Horner's rule; ``f`` lists int coefficients
+    from degree 0 up, so ``f(n/q) = 0`` exactly when the result is 0."""
+    value, qk = 0, 1
     for a in reversed(f):
-        value = value * x + a
+        value = value * n + a * qk
+        qk *= q
     return value
 
 
-def _primitive(f) -> list[int]:
-    """The integer polynomial with content 1 that is a rational multiple of ``f``."""
-    den = math.lcm(*(a.denominator for a in f))
-    ints = [int(a * den) for a in f]
-    content = math.gcd(*ints)
-    return [a // content for a in ints]
+def _primitive(f: list[int]) -> list[int]:
+    """``f`` divided by its content, the gcd of its coefficients."""
+    content = math.gcd(*f)
+    return [a // content for a in f]
 
 
-def _divmod(f, g) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of ``f`` by ``g`` over Q, both listed from degree 0 up."""
-    rem = [Fraction(a) for a in f]
-    quot = []
+def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """``(s, r)`` with ``k*f = s*g + r`` over Z for some nonzero int ``k`` and
+    ``deg r < deg g``, lists from degree 0 up.  A step scales by ``g``'s
+    leading coefficient only where it does not divide, so ``k = 1`` when
+    ``g`` divides ``f`` over Z (Brown, J. ACM 18, 1971)."""
+    rem, quot, lead = list(f), [], g[-1]
     while len(rem) >= len(g):
-        c = rem[-1] / g[-1]
+        if rem[-1] % lead:
+            rem, quot = [a * lead for a in rem], [a * lead for a in quot]
+        c = rem.pop() // lead
         quot.append(c)
-        shift = len(rem) - len(g)
-        for i, a in enumerate(g):
+        shift = len(rem) + 1 - len(g)
+        for i, a in enumerate(g[:-1]):
             rem[shift + i] -= c * a
-        rem.pop()
     while rem and rem[-1] == 0:
         rem.pop()
     return quot[::-1], rem
 
 
-def _square_free_part(f) -> list[int]:
-    """``f / gcd(f, f')`` made primitive: the roots of ``f``, each simple (Yun, 1976)."""
-    g, h = f, [i * a for i, a in enumerate(f)][1:]
+def _square_free_part(f: list[int]) -> list[int]:
+    """``f / gcd(f, f')`` for a primitive ``f``: the roots of ``f``, each simple
+    (Yun, 1976).  The gcd is the last term of the primitive pseudo-remainder
+    sequence, and the quotient by it is exact over Z (Gauss's lemma)."""
+    g, h = f, _primitive([i * a for i, a in enumerate(f)][1:])
     while h:
-        g, h = h, _divmod(g, h)[1]
-    return _primitive(_divmod(f, g)[0])
+        g, h = h, _primitive(_pseudo_divmod(g, h)[1])
+    return _primitive(_pseudo_divmod(f, g)[0])
 
 
 def rational_roots(coeffs) -> tuple[Fraction, ...]:
     """Distinct nonzero rational roots of ``sum coeff_j * c**j``, sorted.
 
     ``coeffs`` is an iterable of ``(j, coeff)`` pairs.  With the lowest power
-    of ``c`` divided out and denominators and content cleared, a linear
-    polynomial gives its root at once.  Otherwise the roots of its
-    square-free part ``f`` modulo the smallest odd prime ``p`` that does not
-    divide the leading coefficient ``lead`` and leaves them simple are lifted
-    p-adically (Loos, SIAM J. Comput. 12, 1983) to a modulus ``M > 2B``,
-    ``B = |lead| + max |a_i|``.  A rational root has a denominator dividing
-    ``lead`` and ``|lead * root| <= B`` (Cauchy), so ``lead * root`` is the
-    symmetric residue of ``lead * r`` mod ``M``; it is kept only when exact
-    evaluation gives 0.  The cost is polynomial in the number of digits.
+    of ``c`` divided out and denominators cleared once, everything runs on
+    ints, and a linear polynomial gives its root at once.  Otherwise the
+    roots of its square-free part ``f`` modulo the smallest odd prime ``p``
+    that does not divide the leading coefficient ``lead`` and leaves them
+    simple are lifted p-adically (Loos, SIAM J. Comput. 12, 1983) to a
+    modulus ``M > 2B``, ``B = |lead| + max |a_i|``.  A rational root has a
+    denominator dividing ``lead`` and ``|lead * root| <= B`` (Cauchy), so
+    ``n = lead * root`` is the symmetric residue of ``lead * r`` mod ``M``;
+    the candidate ``n/lead`` is kept only when ``sum a_i n^i lead^(k-i)``,
+    ``k`` the degree, is 0.  The cost is polynomial in the number of digits.
     """
-    pairs = [(int(j), Fraction(c)) for j, c in coeffs if c != 0]
+    pairs = [(int(j), c if isinstance(c, (int, Fraction)) else Fraction(c))
+             for j, c in coeffs if c != 0]
     if not pairs:
         raise ValueError("the zero polynomial has every root")
     jmin = min(j for j, _ in pairs)
-    shifted = {j - jmin: c for j, c in pairs}
+    den = math.lcm(*(c.denominator for _j, c in pairs))
+    shifted = {j - jmin: c.numerator * (den // c.denominator) for j, c in pairs}
     f = [shifted.get(j, 0) for j in range(max(shifted) + 1)]
     if len(f) == 1:
         return ()
@@ -220,9 +232,9 @@ def rational_roots(coeffs) -> tuple[Fraction, ...]:
             m *= m
             r = (r - _eval(f, r) * pow(_eval(df, r), -1, m)) % m
         n = lead * r % m
-        root = Fraction(n - m if 2 * n > m else n, lead)
-        if _eval(f, root) == 0:
-            roots.append(root)
+        n = n - m if 2 * n > m else n
+        if _eval(f, n, lead) == 0:
+            roots.append(Fraction(n, lead))
     return tuple(sorted(roots))
 
 
@@ -264,10 +276,11 @@ def admissible_steps(
     # coefficient works.
     mus = [side.coslope for side in np.sides]
     for idx, v in enumerate(np.vertices):
-        b_co = w.b.coeff(v.i + 1, v.j - 1)  # zero when j = 0
-        if b_co == 0:
+        n, q = v.i.numerator, v.i.denominator
+        b_co = w.b._numerator(n + q, q, v.j - 1)  # None when j = 0
+        if b_co is None:
             continue
-        mu = -w.a.coeff(v.i, v.j) / b_co
+        mu = Fraction(-(w.a._numerator(n, q, v.j) or 0) * w.b.den, b_co * w.a.den)
         lo = np.sides[idx - 1].coslope if idx > 0 else None
         hi = np.sides[idx].coslope if idx < len(np.sides) else None
         if (lo is None or mu > lo) and (hi is None or mu < hi):

@@ -65,42 +65,40 @@ class NewtonPolygon(NamedTuple):
     sides: tuple[Side, ...]
 
 
-def _cross(o: CloudPoint, a: CloudPoint, b: CloudPoint) -> Fraction:
-    return (a.i - o.i) * (b.j - o.j) - (a.j - o.j) * (b.i - o.i)
+def _cross(o: tuple, a: tuple, b: tuple) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _row_minima(points: Iterable[tuple]) -> dict:
-    """``{j: the least i}`` over ``points``; ``i`` may be any exact number."""
-    rows = {}
-    for i, j in points:
-        if j not in rows or i < rows[j]:
-            rows[j] = i
-    return rows
-
-
-def _polygon(rows: dict[int, Fraction]) -> NewtonPolygon:
-    """The polygon of a cloud given by the least abscissa of each row."""
+def _polygon(points: Iterable[tuple[int, int]], d: int) -> NewtonPolygon:
+    """The polygon of the cloud of points ``(n/d, j)``, given as the ints
+    ``(n, j)``: the hull is built on them, and only the staircase points and
+    the co-slopes become ``Fraction``s."""
+    rows: dict[int, int] = {}  # {j: the least n}
+    for n, j in points:
+        if j not in rows or n < rows[j]:
+            rows[j] = n
     if not rows:
         raise ValueError("empty cloud")
     # up the rows, a row minimum is on the staircase if left of all below
-    stair: list[CloudPoint] = []
+    stair: list[tuple[int, int]] = []
     for j in sorted(rows):
-        if not stair or rows[j] < stair[-1].i:
-            stair.append(CloudPoint(rows[j], j))
+        if not stair or rows[j] < stair[-1][0]:
+            stair.append((rows[j], j))
     stair.reverse()
-    if stair[0].i < -1:  # the least abscissa, with the least ordinate among ties
-        raise MalformedFormError("cloud point (%s, %d) lies left of i = -1" % stair[0])
-    # Monotone chain over the staircase with exact cross products.
-    hull: list[CloudPoint] = []
+    point = {p: CloudPoint(Fraction(p[0], d), p[1]) for p in stair}
+    if stair[0][0] < -d:  # the least abscissa, with the least ordinate among ties
+        raise MalformedFormError("cloud point (%s, %d) lies left of i = -1" % point[stair[0]])
+    # Monotone chain over the staircase with integer cross products.
+    hull: list[tuple[int, int]] = []
     for p in stair:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
     sides = tuple(
-        Side(v1, v2, (v2.i - v1.i) / (v1.j - v2.j))
+        Side(point[v1], point[v2], Fraction(v2[0] - v1[0], d * (v1[1] - v2[1])))
         for v1, v2 in zip(hull, hull[1:])
     )
-    return NewtonPolygon(tuple(stair), tuple(hull), sides)
+    return NewtonPolygon(tuple(point.values()), tuple(point[v] for v in hull), sides)
 
 
 def newton_polygon(points: Iterable[CloudPoint | tuple[RatLike, int]]) -> NewtonPolygon:
@@ -111,28 +109,39 @@ def newton_polygon(points: Iterable[CloudPoint | tuple[RatLike, int]]) -> Newton
     co-slopes strictly increase left to right.  Cloud points interior to a
     side are not vertices (they reappear in support contacts).
     """
-    return _polygon(_row_minima((Fraction(i), int(j)) for i, j in points))
+    pts = [(Fraction(i), int(j)) for i, j in points]
+    d = math.lcm(*(i.denominator for i, _j in pts))
+    return _polygon(((i.numerator * (d // i.denominator), j) for i, j in pts), d)
 
 
 def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
-    """Contact of the support line of co-slope ``mu >= 1`` with the polygon."""
-    mu = Fraction(mu)
-    if mu < 1:
-        raise ValueError("support queries require mu >= 1")
-    heights = [p.i + mu * p.j for p in np.staircase]
-    tau = min(heights)
-    pts = tuple(p for p, h in zip(np.staircase, heights) if h == tau)
+    """Contact of the support line of co-slope ``mu > 0`` with the polygon.
+
+    For ``mu = a/b`` and ``L`` the lcm of the staircase's denominators, the
+    heights ``i + mu*j`` are compared as the ints ``L*b*(i + mu*j)``; only
+    ``tau`` becomes a ``Fraction``.
+    """
+    mu = mu if isinstance(mu, Fraction) else Fraction(mu)
+    if mu <= 0:
+        raise ValueError("support queries require mu > 0")
+    b, stair = mu.denominator, np.staircase
+    L = math.lcm(*(p.i.denominator for p in stair))
+    aL = mu.numerator * L
+    heights = [p.i.numerator * (L // p.i.denominator) * b + aL * p.j for p in stair]
+    low = min(heights)
+    pts = tuple(p for p, h in zip(stair, heights) if h == low)
+    kind = "side" if len(pts) >= 2 else "vertex"
     # the staircase descends, so its first contact point is the highest
-    return SupportContact(mu, tau, pts, "side" if len(pts) >= 2 else "vertex", pts[0])
+    return SupportContact(mu, Fraction(low, L * b), pts, kind, pts[0])
 
 
 def polygon_of(w: OneForm) -> NewtonPolygon:
-    """Newton polygon of the form, its cloud scanned in integers on the grid
-    ``d`` of both coefficients (``x^i`` at ``i*d``); only row minima are ``Fraction``s."""
+    """Newton polygon of the form, its cloud scanned and its hull built in
+    integers on the grid ``d`` of both coefficients (``x^i`` at ``i*d``); only
+    the staircase points and the side co-slopes are ``Fraction``s."""
     d = math.lcm(w.a.d, w.b.d)  # only the keys are read: no numerator is lifted
     a, b = _rescale(w.a.grid, d // w.a.d), _rescale(w.b.grid, d // w.b.d)
-    rows = _row_minima(itertools.chain(a, ((n - d, ey + 1) for n, ey in b)))
-    return _polygon({j: Fraction(n, d) for j, n in rows.items()})
+    return _polygon(itertools.chain(a, ((n - d, ey + 1) for n, ey in b)), d)
 
 
 def cloud(w: OneForm) -> tuple[CloudPoint, ...]:

@@ -452,3 +452,37 @@ def test_gen_large_exponent_numerator(json_flag, child_env):
         assert branch["series"].endswith("x^(100000001/2)")
     else:
         assert "x^(100000001/2)" in proc.stdout
+
+
+# d(x^2 - y^3): the polygon's one side has co-slope 2/3, below the search's mu >= 1
+SHALLOW = ["polygon", "--a", "2*x", "--b", "-3*y^2"]
+
+
+def test_polygon_reports_a_side_of_coslope_below_one(capsys):
+    assert run(SHALLOW) == 0
+    out = out_of(capsys)
+    assert "side (-1, 3) -- (1, 0)  co-slope 2/3  Phi(c) = -2*c^3 + 2\n" in out
+    assert "y-order: 0\n" in out and "multiplicity: 2\n" in out
+
+    assert run(["polygon", "--a", "y^3 - 2*x*y", "--b", "x^2"]) == 0
+    assert "co-slope 1/2  Phi(c) = c^3 - 3/2*c\n" in out_of(capsys)
+
+
+def test_polygon_json_and_svg_with_a_side_of_coslope_below_one(tmp_path, capsys):
+    assert run(SHALLOW + ["--json"]) == 0
+    payload = json.loads(out_of(capsys))
+    (side,) = payload["polygon"]["sides"]
+    assert (side["start"], side["end"]) == (["-1", "3"], ["1", "0"])
+    assert (side["coslope"], side["phi"]) == ("2/3", "-2*c^3 + 2")
+    assert (payload["y_order"], payload["multiplicity"]) == (0, 2)
+
+    target = tmp_path / "shallow.svg"
+    assert run(SHALLOW + ["--svg", str(target)]) == 0
+    capsys.readouterr()
+    supports = [
+        ln for ln in ET.parse(target).getroot().findall(".//s:line", SVG_NS)
+        if ln.get("class") == "support"
+    ]
+    assert [(ln.get("data-mu"), ln.get("data-tau")) for ln in supports] == [("2/3", "1")]
+    assert run(SHALLOW + ["--svg", str(target), "--support", "1/2,0"]) == 2
+    assert capsys.readouterr().err == "error: support queries require mu > 0\n"

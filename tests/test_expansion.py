@@ -106,6 +106,52 @@ def test_rational_roots_match_sympy_on_large_coefficients():
     check()
 
 
+def _power(factor, times, lead):
+    f = [Fraction(lead)]
+    for _ in range(times):
+        f = _poly_mul(f, factor)
+    return f
+
+
+def test_rational_roots_of_the_corpus_tower_shapes():
+    # a tower's characteristic polynomials are powers, e.g. 8*(c - 2)^8
+    f = _power([-2, 1], 8, 8)
+    assert f[:2] == [2048, -8192] and f[-1] == 8
+    assert rational_roots(enumerate(f)) == (2,)
+    assert rational_roots(enumerate(_power([-1, 0, 1], 4, 12))) == (-1, 1)
+
+
+# the root u/v and its multiplicity
+_ROOT = st.tuples(st.integers(-9, 9), st.integers(1, 6), st.integers(1, 4))
+
+
+def test_rational_roots_match_sympy_on_repeated_roots():
+    sympy = pytest.importorskip("sympy")
+    c = sympy.Symbol("c")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_ROOT, max_size=4), st.sampled_from([None, -2, 1, 3]),
+           st.integers(-12, 12).filter(bool), st.integers(1, 5), st.integers(0, 2))
+    def check(roots, irreducible, num, den, jmin):
+        # degree at most 8, with c^2 - 2, c^2 + 1 or c^2 + 3 as an irrational factor
+        f = [Fraction(num, den)] if irreducible is None else _poly_mul(
+            [Fraction(num, den)], [irreducible, 0, 1])
+        for u, v, mult in roots:
+            for _ in range(min(mult, 9 - len(f))):
+                f = _poly_mul(f, [Fraction(-u), Fraction(v)])
+        pairs = [(j + jmin, a) for j, a in enumerate(f) if a != 0]
+        expected = sorted(
+            Fraction(int(r.p), int(r.q))
+            for r in sympy.Poly(
+                [sympy.Rational(a.numerator, a.denominator) for a in reversed(f)], c
+            ).ground_roots()
+            if r != 0
+        )
+        assert rational_roots(pairs) == tuple(expected)
+
+    check()
+
+
 def test_rational_roots_rejects_zero_polynomial():
     with pytest.raises(ValueError):
         rational_roots([(2, 0)])

@@ -17,7 +17,7 @@ from puiseuxform import (
     support,
     y_order,
 )
-from reference import poly_from_pairs
+from reference import brute_hull, poly_from_pairs
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
@@ -110,10 +110,13 @@ def test_support_on_cusp():
     assert vert.points == pts((-1, 2))
 
 
-def test_support_rejects_coslope_below_one():
+def test_support_takes_every_positive_coslope():
     np = polygon_of(CUSP)
-    with pytest.raises(ValueError):
-        support(np, Fraction(1, 2))
+    for mu in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="mu > 0"):
+            support(np, mu)
+    vert = support(np, Fraction(1, 2))
+    assert (vert.kind, vert.points, vert.tau) == ("vertex", pts((-1, 2)), 0)
 
 
 def test_y_order_values():
@@ -207,6 +210,43 @@ def test_polygon_of_a_ramified_form_is_the_polygon_of_its_cloud(a, b):
     got = polygon_of(w)
     assert (got.staircase, got.vertices, got.sides) == expected
     assert all(type(p.i) is Fraction for p in got.staircase)
+
+
+def _well_formed_cloud(w):
+    """``cloud(w)``, or ``None`` when it is empty or has a point left of i = -1."""
+    points = cloud(w)
+    return points if points and points[0].i >= -1 else None
+
+
+@settings(deadline=None)
+@given(ramified_terms, ramified_terms)
+def test_polygon_of_a_ramified_form_matches_the_brute_force_hull(a, b):
+    w = OneForm(a, b)
+    if (points := _well_formed_cloud(w)) is None:
+        return
+    vertices, coslopes = brute_hull(points)
+    np = polygon_of(w)
+    assert np.vertices == vertices
+    assert tuple(s.coslope for s in np.sides) == coslopes
+    assert all(type(s.coslope) is Fraction for s in np.sides)
+
+
+# co-slopes with denominators 1..6, shallow ones (mu < 1) included
+support_coslopes = st.fractions(min_value=0, max_value=8, max_denominator=6).filter(bool)
+
+
+@settings(deadline=None)
+@given(ramified_terms, ramified_terms, support_coslopes)
+def test_support_of_a_ramified_form_is_the_argmin_over_its_cloud(a, b, mu):
+    w = OneForm(a, b)
+    if (points := _well_formed_cloud(w)) is None:
+        return
+    heights = [p.i + mu * p.j for p in points]
+    tau = min(heights)
+    con = support(polygon_of(w), mu)
+    assert type(con.tau) is Fraction and con.tau == tau
+    assert con.points == tuple(p for p, h in zip(points, heights) if h == tau)
+    assert con.highest == con.points[0]
 
 
 @settings(deadline=None)
