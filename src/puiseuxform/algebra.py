@@ -113,8 +113,11 @@ class PuiseuxPoly:
                 raise ValueError("y-exponents must be nonnegative integers: %s" % ey)
             if c:
                 pairs.append(((Fraction(ex), int(ey)), c))
-        p = _wrap(_sum_terms(pairs))
-        self.d, self.den, self.grid = p.d, p.den, p.grid
+        terms = _sum_terms(pairs)
+        self.d = d = math.lcm(*(ex.denominator for ex, _ey in terms))
+        self.den = den = math.lcm(*(c.denominator for c in terms.values()))
+        self.grid = {(ex.numerator * (d // ex.denominator), ey):
+                     c.numerator * (den // c.denominator) for (ex, ey), c in terms.items()}
 
     @classmethod
     def monomial(cls, coeff: RatLike, ex: RatLike = 0, ey: int = 0) -> "PuiseuxPoly":
@@ -165,8 +168,7 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d, den, g1, g2 = _to_grid(self, other)
-        return _record(d, den, _sum_terms(g2.items(), dict(g1)))
+        return _sum(self, other)
 
     __radd__ = __add__
 
@@ -273,15 +275,6 @@ def _record(d: int, den: int, grid: dict) -> PuiseuxPoly:
     return p
 
 
-def _wrap(terms: Mapping[TermKey, Fraction]) -> PuiseuxPoly:
-    """The poly of ``Fraction``-keyed ``terms``, which must keep the term invariant."""
-    d = math.lcm(*(ex.denominator for ex, _ey in terms))
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return _record(d, den, {(ex.numerator * (d // ex.denominator), ey):
-                            c.numerator * (den // c.denominator)
-                            for (ex, ey), c in terms.items()})
-
-
 def _monomial(coeff: Fraction, ex: int = 0, ey: int = 0) -> PuiseuxPoly:
     """``coeff * x**ex * y**ey`` from exact parts, unvalidated; 0 gives the zero poly."""
     return _record(1, coeff.denominator, {(ex, ey): coeff.numerator} if coeff else {})
@@ -291,9 +284,10 @@ def _sum_terms(pairs: Iterable[tuple[Hashable, Fraction | int]],
                acc: dict | None = None) -> dict:
     """The sum of ``(key, coeff)`` pairs, added into ``acc``, which it takes over.
 
-    Coefficients are the nonzero int numerators of a grid keyed by
-    ``(int, int)``, or nonzero ``Fraction``s keyed by ``(Fraction, int >= 0)``
-    terms; any exact number type sums the same way.
+    Keys are grid keys ``(int, int)`` with nonzero int numerators, as in
+    :func:`_sum` and :func:`transform_form`, or the constructor's
+    ``(Fraction, int >= 0)`` terms with nonzero ``Fraction``s; any exact
+    number type sums the same way.
     """
     acc = {} if acc is None else acc
     for key, c in pairs:
@@ -305,6 +299,16 @@ def _sum_terms(pairs: Iterable[tuple[Hashable, Fraction | int]],
         else:
             del acc[key]  # a sum of zero drops its term
     return acc
+
+
+def _sum(*polys: PuiseuxPoly) -> PuiseuxPoly:
+    """The sum of one or more polys on one grid, added into a copy of the first
+    one's: a sum of n terms makes one dict, not a copy of each partial sum."""
+    d, den, first, *rest = _to_grid(*polys)
+    acc = dict(first)
+    for g in rest:
+        _sum_terms(g.items(), acc)
+    return _record(d, den, acc)
 
 
 class OneForm(NamedTuple):
@@ -349,24 +353,31 @@ def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
         raise ValueError("shift exponent mu must be >= 1")
     if c == 0:
         return p
-    return transform_form(OneForm(p, _wrap({})), c, mu).a  # b = 0 adds nothing to a'
+    return transform_form(OneForm(p, PuiseuxPoly()), c, mu).a  # b = 0 adds nothing to a'
 
 
-def _transform_on_grid(g: tuple, c: Fraction, mu: Fraction) -> tuple:
-    """:func:`transform_form` on the record ``(d, den, a, b)`` of
-    :func:`_to_grid`, and the record of the result; ``c = 0`` returns ``g``.
+def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
+    """The form after the coordinate change ``y -> c*x**mu + y``.
 
-    The content ``gcd(den, *numerators)`` of ``g`` is divided out first, so
-    a chain of calls, such as the search's from node to node, keeps its
-    integers small.  The grid widens to ``lcm(d, mu.denominator)``.  For
-    ``c = p/q`` and ``top`` the top y-exponent, each row factor
-    ``C(ey, l) * c**l`` is the int ``C(ey, l) * p**l * q**(top-l)``.
+    Substituting into ``a dx + b dy`` and using ``d(c x^mu) = mu c x^(mu-1) dx``
+    gives ``a' = a(x, c x^mu + y) + mu c x^(mu-1) b(x, c x^mu + y)`` and
+    ``b' = b(x, c x^mu + y)``.  ``c = 0`` returns ``w``; otherwise ``mu``
+    must be at least 1.  The search and the residual replay both chain it.
+
+    ``a`` and ``b`` go on one grid (a form this made is on one already, so
+    nothing is copied) and their content ``gcd(den, *numerators)`` is divided
+    out, so a chain of calls keeps its integers small.  The grid widens to
+    ``lcm(d, mu.denominator)``.  For ``c = p/q`` and ``top`` the top
+    y-exponent, each row factor ``C(ey, l) * c**l`` is the int
+    ``C(ey, l) * p**l * q**(top-l)``; both results share ``d`` and ``den``.
     """
+    c = Fraction(c)
+    mu = Fraction(mu)
     if c == 0:
-        return g
+        return w
     if mu < 1:
         raise ValueError("shift exponent mu must be >= 1")
-    d, den, a, b = g
+    d, den, a, b = _to_grid(w.a, w.b)
     k = math.gcd(den, *a.values(), *b.values())  # 1 on a constructed poly
     if k > 1:
         den, a, b = den // k, *({key: v // k for key, v in h.items()} for h in (a, b))
@@ -385,24 +396,8 @@ def _transform_on_grid(g: tuple, c: Fraction, mu: Fraction) -> tuple:
     # a' = a(x, c x^mu + y) + mu c x^(mu-1) b' and b' over den q^top m
     a = _rescale(a, 1, m)
     _sum_terms((((n + up, ey), scale.numerator * v) for (n, ey), v in b.items()), a)
-    b = _rescale(b, 1, m)
-    return d, den * lift * m, a, b
-
-
-def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
-    """The form after the coordinate change ``y -> c*x**mu + y``.
-
-    Substituting into ``a dx + b dy`` and using ``d(c x^mu) = mu c x^(mu-1) dx``
-    gives ``a' = a(x, c x^mu + y) + mu c x^(mu-1) b(x, c x^mu + y)`` and
-    ``b' = b(x, c x^mu + y)``.  ``c = 0`` returns ``w``; otherwise ``mu``
-    must be at least 1.
-    """
-    c = Fraction(c)
-    mu = Fraction(mu)
-    if c == 0:
-        return w
-    d, den, a, b = _transform_on_grid(_to_grid(w.a, w.b), c, mu)
-    return OneForm(_record(d, den, a), _record(d, den, b))
+    den = den * lift * m
+    return OneForm(_record(d, den, a), _record(d, den, _rescale(b, 1, m)))
 
 
 def differential(f: PuiseuxPoly) -> OneForm:

@@ -204,6 +204,8 @@ def cmd_polygon(args) -> int:
     if args.svg:
         mus = (_rat_list_flag("--support", args.support) if args.support
                else [s.coslope for s in np.sides] or [Fraction(1)])
+        if any(mu <= 0 for mu in mus):
+            raise ValueError("--support co-slopes must be above 0")
         Path(args.svg).write_text(build_svg(w, np, mus), encoding="utf-8")
     payload = _polygon_payload(w, np)
     if args.json:

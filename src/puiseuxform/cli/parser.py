@@ -5,10 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..algebra import (
-    OneForm, PuiseuxPoly, _monomial, _record, _sum_terms, _to_grid, power_text, rat_str,
-    signed_sum,
-)
+from ..algebra import OneForm, PuiseuxPoly, _monomial, _sum, power_text, rat_str, signed_sum
 
 
 class ParseError(ValueError):
@@ -114,8 +111,6 @@ class _Parser:
         return self.next()
 
     def parse_expr(self) -> PuiseuxPoly:
-        # one dict sums the terms: adding each term to a polynomial copies
-        # the polynomial, so a sum of n terms took time quadratic in n
         terms = []
         sign = -1 if self.peek() == "-" else 1
         if self.peek() in ("+", "-"):
@@ -123,8 +118,7 @@ class _Parser:
         while True:
             terms.append(self.parse_term() if sign > 0 else -self.parse_term())
             if self.peek() not in ("+", "-"):
-                d, den, *grids = _to_grid(*terms)
-                return _record(d, den, _sum_terms(kv for g in grids for kv in g.items()))
+                return _sum(*terms)
             sign = -1 if self.next()[0] == "-" else 1
 
     def parse_term(self) -> PuiseuxPoly:

@@ -30,8 +30,6 @@ from typing import NamedTuple
 from .algebra import (
     INFINITY,
     OneForm,
-    _to_grid,
-    _transform_on_grid,
     power_text,
     rat_str,
     signed_sum,
@@ -41,6 +39,7 @@ from .polygon import (
     CloudPoint,
     NewtonPolygon,
     SupportContact,
+    cloud_pair,
     multiplicity,
     polygon_of,
     support,
@@ -131,14 +130,12 @@ def characteristic_poly(
     sorted by ``j``; an empty tuple means the contact is dicritical.  Each
     pair is summed from the int numerators of ``a``, ``b`` and ``mu``.
     """
-    a, b, m, k = w.a, w.b, contact.mu.numerator, contact.mu.denominator
+    a_den, b_den, m, k = w.a.den, w.b.den, contact.mu.numerator, contact.mu.denominator
     coeffs = []
     for p in contact.points:
-        n, q = p.i.numerator, p.i.denominator
-        combo = ((a._numerator(n, q, p.j) or 0) * b.den * k
-                 + m * (b._numerator(n + q, q, p.j - 1) or 0) * a.den)
-        if combo:
-            coeffs.append((p.j, Fraction(combo, a.den * b.den * k)))
+        va, vb = cloud_pair(w, p.i, p.j)
+        if combo := va * b_den * k + m * vb * a_den:
+            coeffs.append((p.j, Fraction(combo, a_den * b_den * k)))
     return tuple(sorted(coeffs))
 
 
@@ -276,11 +273,10 @@ def admissible_steps(
     # coefficient works.
     mus = [side.coslope for side in np.sides]
     for idx, v in enumerate(np.vertices):
-        n, q = v.i.numerator, v.i.denominator
-        b_co = w.b._numerator(n + q, q, v.j - 1)  # None when j = 0
-        if b_co is None:
+        a_co, b_co = cloud_pair(w, v.i, v.j)  # b_co = 0 when j = 0
+        if not b_co:
             continue
-        mu = Fraction(-(w.a._numerator(n, q, v.j) or 0) * w.b.den, b_co * w.a.den)
+        mu = Fraction(-a_co * w.b.den, b_co * w.a.den)
         lo = np.sides[idx - 1].coslope if idx > 0 else None
         hi = np.sides[idx].coslope if idx < len(np.sides) else None
         if (lo is None or mu > lo) and (hi is None or mu < hi):
@@ -399,18 +395,15 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
 def invariance_residual(w: OneForm, branch: PuiseuxBranch):
     """x-valuation of ``a(x, Gamma) + b(x, Gamma) * Gamma'(x)``.
 
-    Replays the branch's steps on the form's integer grid, one
-    ``transform_form`` kernel call per step and no form in between: after
+    Replays the steps through the search's kernel ``transform_form`` and
+    reads the search's own valuation (``branch.residual``): after
     ``y -> Gamma + y`` the dx coefficient at ``y = 0`` is exactly that sum.
-    A ``c = 0`` step changes nothing; any other step must have ``mu >= 1``.
+    A ``c = 0`` step changes nothing; any other step needs ``mu >= 1``.
     Returns ``INFINITY`` when the branch is exactly invariant.
     """
-    g = _to_grid(w.a, w.b)
     for s in branch.steps:
-        g = _transform_on_grid(g, s.c, s.mu)
-    d, _den, a, _b = g
-    n = min((n for n, ey in a if ey == 0), default=None)
-    return INFINITY if n is None else Fraction(n, d)
+        w = transform_form(w, s.c, s.mu)
+    return _axis_order(w)
 
 
 class CheckOutcome(NamedTuple):
@@ -498,9 +491,8 @@ def lemma_checks(trace) -> LemmaReport:
         if l3_applies:
             t_height = max(1, P.j - (s - 1))
             survivor = CloudPoint(P.i + (P.j - t_height) * step.mu, t_height)
-            a, b = entry.form_after
             l3 = _outcome(
-                all(a.coeff(i, j) or b.coeff(i + 1, j - 1) for i, j in (P, survivor)),
+                all(any(cloud_pair(entry.form_after, i, j)) for i, j in (P, survivor)),
                 "expected (%s, %d) and (%s, %d) in transformed cloud"
                 % (rat_str(P.i), P.j, rat_str(survivor.i), survivor.j),
             )

@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import INFINITY, OneForm, PuiseuxPoly, _record, _to_grid, differential
+from .algebra import INFINITY, OneForm, PuiseuxPoly, _record, _sum, _to_grid, differential
 from .expansion import BranchStep, PuiseuxBranch
 
 
@@ -63,7 +63,7 @@ def branch_to_curve(coeffs: dict[int, Fraction], m: int) -> PuiseuxPoly:
             power = power * gamma
         whole = {key: v for key, v in power.grid.items() if key[0] % power.d == 0}
         q.append(_record(power.d, power.den, whole))
-        c.append(sum((c[k - i] * q[i] for i in range(1, k)), q[k]) * Fraction(-m, k))
+        c.append(_sum(q[k], *(c[k - i] * q[i] for i in range(1, k))) * Fraction(-m, k))
     d, den, *grids = _to_grid(*c)
     return _record(d, den, {(n, m - k): v for k, g in enumerate(grids)
                             for (n, _ey), v in g.items()})

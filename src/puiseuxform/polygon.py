@@ -150,6 +150,14 @@ def cloud(w: OneForm) -> tuple[CloudPoint, ...]:
                          *(CloudPoint(ex - 1, ey + 1) for ex, ey in w.b.terms)}))
 
 
+def cloud_pair(w: OneForm, i: Fraction, j: int) -> tuple[int, int]:
+    """The two terms that put the point ``(i, j)`` in the cloud: the numerator
+    of ``a``'s ``x^i y^j`` over ``a.den`` and that of ``b``'s ``x^(i+1) y^(j-1)``
+    over ``b.den``, 0 for an absent term."""
+    n, q = i.numerator, i.denominator
+    return w.a._numerator(n, q, j) or 0, w.b._numerator(n + q, q, j - 1) or 0
+
+
 def y_order(w: OneForm) -> int:
     """Ordinate of the highest contact point of the co-slope-1 support line."""
     return support(polygon_of(w), Fraction(1)).highest.j

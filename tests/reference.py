@@ -7,9 +7,6 @@ agreement between the two is meaningful:
   a finite set of probe co-slopes instead of a chain algorithm.
 * ``substituted_residual`` computes a branch's invariance residual by
   substituting the series into the form, not by replaying its shifts.
-* ``replayed_residual`` computes it by replaying the branch's steps
-  through the public ``transform_form``, one form per step, where the
-  pipeline chains the shift kernel on one record with no form in between.
 * ``eval_ramified`` evaluates a polynomial at a point of the ramified
   grid, so identities can be checked numerically.
 * ``poly_from_pairs`` builds a polynomial from ``(ex, ey, coeff)`` triples.
@@ -31,10 +28,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from puiseuxform.algebra import (
-    INFINITY, OneForm, PuiseuxPoly, RatLike, TermKey, _sum_terms, _wrap, transform_form,
-)
-from puiseuxform.expansion import PuiseuxBranch, _axis_order
+from puiseuxform.algebra import INFINITY, OneForm, PuiseuxPoly, RatLike, TermKey, _sum_terms
+from puiseuxform.expansion import PuiseuxBranch
 from puiseuxform.polygon import CloudPoint
 
 _ZERO = Fraction(0)
@@ -105,20 +100,6 @@ def substituted_residual(w: OneForm, branch: PuiseuxBranch):
     return min(ex for (ex, _ey) in total.terms)
 
 
-def replayed_residual(w: OneForm, branch: PuiseuxBranch):
-    """x-valuation of ``a(x, Gamma) + b(x, Gamma) * Gamma'(x)``.
-
-    Replays the branch's steps through ``transform_form``: after
-    ``y -> Gamma + y`` the dx coefficient at ``y = 0`` is exactly that sum.
-    Every step must have ``mu >= 1``, as ``transform_form`` requires.
-    Returns ``INFINITY`` when the branch is exactly invariant.
-    """
-    form = w
-    for s in branch.steps:
-        form = transform_form(form, s.c, s.mu)
-    return _axis_order(form)
-
-
 def _substitute_y(p: PuiseuxPoly, gamma: PuiseuxPoly) -> PuiseuxPoly:
     powers = {0: PuiseuxPoly.monomial(1)}
     acc = PuiseuxPoly()
@@ -164,7 +145,7 @@ def binomial_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
     if c == 0:
         return p
     # (c x^mu + y)^ey = sum_l C(ey, l) c^l x^(mu l) y^(ey - l)
-    return _wrap(_sum_terms(
+    return PuiseuxPoly(_sum_terms(
         ((ex + mu * l, ey - l), coeff * math.comb(ey, l) * c**l)
         for (ex, ey), coeff in p.terms.items()
         for l in range(ey + 1)
@@ -173,7 +154,7 @@ def binomial_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
 
 def term_product(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
     """``p * q``, one ``Fraction`` product per pair of terms."""
-    return _wrap(_sum_terms(
+    return PuiseuxPoly(_sum_terms(
         ((ex1 + ex2, ey1 + ey2), c1 * c2)
         for (ex1, ey1), c1 in p.terms.items()
         for (ex2, ey2), c2 in q.terms.items()

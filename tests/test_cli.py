@@ -201,6 +201,17 @@ def test_support_requires_svg(capsys, tmp_path):
     assert "--support" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("flag", [["--support", "0"], ["--support=-1/2"], ["--support", "1/2,0"]])
+def test_support_coslopes_not_above_0_name_the_flag(flag, json_flag, tmp_path, capsys):
+    target = tmp_path / "p.svg"
+    argv = ["polygon", "--a", "-3*x^2", "--b", "2*y", "--svg", str(target), *flag, *json_flag]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --support co-slopes must be above 0\n")
+    assert not target.exists()
+
+
 def test_svg_output(tmp_path, capsys):
     target = tmp_path / "cusp.svg"
     assert run(["polygon", "--a", "-3*x^2", "--b", "2*y", "--svg", str(target)]) == 0
@@ -485,4 +496,4 @@ def test_polygon_json_and_svg_with_a_side_of_coslope_below_one(tmp_path, capsys)
     ]
     assert [(ln.get("data-mu"), ln.get("data-tau")) for ln in supports] == [("2/3", "1")]
     assert run(SHALLOW + ["--svg", str(target), "--support", "1/2,0"]) == 2
-    assert capsys.readouterr().err == "error: support queries require mu > 0\n"
+    assert capsys.readouterr().err == "error: --support co-slopes must be above 0\n"

@@ -43,3 +43,24 @@ def test_workloads_load_and_judge_their_smoke_cases(monkeypatch):
         specs, _defects = specs_of(7, True)
         assert specs
         assert [run(spec).problems for spec in specs] == [[]] * len(specs), name
+
+
+def test_the_residual_replay_runs_through_the_traced_kernel(monkeypatch):
+    """``invariance_residual`` replays a branch through ``expansion.transform_form``,
+    the attribute the tracer wraps, so each replayed step is a span under it."""
+    from fractions import Fraction
+
+    from puiseuxform import expansion, gen_case
+
+    case = gen_case((Fraction(3, 2), Fraction(7, 4)), 0)
+    shifts = sum(1 for s in case.branch.steps if s.c)
+    assert shifts > 1
+    tracer = _load("tracer", monkeypatch).Tracer()
+    tracer.install()
+    try:
+        expansion.invariance_residual(case.form, case.branch)
+    finally:
+        tracer.uninstall()
+    names = [name for name, _start, _end, _parent, _case in tracer.spans]
+    assert names == ["expansion.invariance_residual"] + ["expansion.transform_form"] * shifts
+    assert [span[3] for span in tracer.spans[1:]] == [0] * shifts

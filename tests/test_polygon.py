@@ -17,6 +17,7 @@ from puiseuxform import (
     support,
     y_order,
 )
+from puiseuxform.polygon import cloud_pair
 from reference import brute_hull, poly_from_pairs
 
 X = PuiseuxPoly.monomial(1, 1)
@@ -247,6 +248,26 @@ def test_support_of_a_ramified_form_is_the_argmin_over_its_cloud(a, b, mu):
     assert type(con.tau) is Fraction and con.tau == tau
     assert con.points == tuple(p for p, h in zip(points, heights) if h == tau)
     assert con.highest == con.points[0]
+
+
+# abscissas with denominators 1..7: one over 7 is on no grid these forms use
+probe_abscissas = st.fractions(min_value=-2, max_value=8, max_denominator=7)
+
+
+@settings(deadline=None)
+@given(ramified_terms, ramified_terms, probe_abscissas, st.integers(0, 5))
+def test_cloud_pair_reads_the_two_terms_at_a_cloud_point(a, b, i, j):
+    """``cloud_pair`` gives the numerators of ``a``'s ``x^i y^j`` and ``b``'s
+    ``x^(i+1) y^(j-1)``: on every cloud and staircase point, off the grid, and
+    in row 0, where ``b`` has no term; it is nonzero exactly on the cloud."""
+    w = OneForm(a, b)
+    points = cloud(w)
+    stair = polygon_of(w).staircase if _well_formed_cloud(w) else ()
+    for p in (*points, *stair, CloudPoint(i, j), CloudPoint(i, 0)):
+        pair = cloud_pair(w, p.i, p.j)
+        assert pair == (a.coeff(p.i, p.j) * a.den, b.coeff(p.i + 1, p.j - 1) * b.den)
+        assert all(type(v) is int for v in pair)
+        assert any(pair) == (p in points)
 
 
 @settings(deadline=None)
