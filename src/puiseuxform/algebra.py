@@ -23,7 +23,7 @@ _ZERO = Fraction(0)
 
 def rat_str(value: RatLike) -> str:
     """Render a rational as ``"p"`` or ``"p/q"`` (reduced; ``"0"`` for zero)."""
-    f = Fraction(value)
+    f = value if isinstance(value, (int, Fraction)) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return "%d/%d" % (f.numerator, f.denominator)
@@ -31,13 +31,13 @@ def rat_str(value: RatLike) -> str:
 
 def power_text(var: str, e: RatLike) -> str:
     """Render ``var**e``: ``""`` for e = 0, else ``x``, ``x^2`` or ``x^(3/2)``."""
-    e = Fraction(e)
+    e = e if isinstance(e, (int, Fraction)) else Fraction(e)
     if e.denominator > 1:
         return "%s^(%s)" % (var, rat_str(e))
     return "" if e == 0 else var if e == 1 else "%s^%d" % (var, e)
 
 
-def signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+def signed_sum(terms: Iterable[tuple[int | Fraction, str]]) -> str:
     """Render ``(coeff, monomial_text)`` pairs as a sum, e.g. ``3*c^2 - 3``.
 
     A unit coefficient is dropped before a monomial; an empty monomial

@@ -8,6 +8,7 @@ planted branch of ``gen``, which is built and replayed only for ``--json``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -71,7 +72,20 @@ def _load_form(args) -> OneForm:
     return parse_form(args.a, args.b)
 
 
+# Largest decimal exponent a rational flag may give: Fraction("1e3000000")
+# builds a 10-million-bit integer, so the exponent is checked before it.
+_MAX_DECIMAL_EXPONENT = 1000
+
+
 def _rat_flag(flag: str, text: str) -> Fraction:
+    _mantissa, e, exponent = text.lower().rpartition("e")
+    try:
+        too_big = bool(e) and abs(int(exponent)) > _MAX_DECIMAL_EXPONENT
+    except ValueError:  # no exponent that int() reads: Fraction reports the text
+        too_big = False
+    if too_big:
+        raise ValueError("%s: decimal exponent %s is above the limit %d"
+                         % (flag, exponent.strip(), _MAX_DECIMAL_EXPONENT))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -343,7 +357,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and never changed: every ``run()``
+    shares it, and each ``parse_args`` makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="puiseuxform",
         description="Newton polygons and exact invariant-branch expansion "

@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
-from ..algebra import OneForm, PuiseuxPoly, _monomial, _sum, power_text, rat_str, signed_sum
+from ..algebra import (
+    OneForm,
+    PuiseuxPoly,
+    _monomial,
+    _record,
+    _sum_terms,
+    power_text,
+    rat_str,
+    signed_sum,
+)
 
 
 class ParseError(ValueError):
@@ -52,28 +62,31 @@ def _power_work(t: int, n: int) -> int:
     return work
 
 
+# A token is a run of decimal digits (of any script: the ones int() reads, and
+# not superscripts, which str.isdigit() accepts) or any other non-space
+# character; whitespace matches nothing, so finditer skips it.
+_TOKEN = re.compile(r"\d+|\S")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(("int", text[start:i], start))
-        elif ch in "xy":
-            tokens.append(("var", ch, i))
-            i += 1
-        elif ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
-            i += 1
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok.isdecimal():
+            kind = "int"
+        elif tok in "xy":
+            kind = "var"
+        elif tok in _SYMBOLS:
+            kind = tok
         else:
-            raise ParseError("unexpected character %r" % ch, i)
+            raise ParseError("unexpected character %r" % tok, m.start())
+        tokens.append((kind, tok, m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+# A monomial ``num/den * x**ex * y**ey`` of a term, kept as ints.
+Monomial = tuple[int, int, int, int]
 
 
 class _Parser:
@@ -110,50 +123,84 @@ class _Parser:
             )
         return self.next()
 
+    def integer(self) -> int:
+        _kind, digits, pos = self.expect("int")
+        try:
+            return int(digits)
+        except ValueError:  # longer than the interpreter's str -> int limit
+            raise ParseError("integer literal of %d digits is too long" % len(digits),
+                             pos) from None
+
     def parse_expr(self) -> PuiseuxPoly:
-        terms = []
+        """A signed sum of terms, added into one grid dict over the lcm of their
+        denominators; every x-exponent of a text is whole, so ``d`` is 1."""
+        terms = []  # (key, numerator, denominator) of every term of every product
         sign = -1 if self.peek() == "-" else 1
         if self.peek() in ("+", "-"):
             self.next()
         while True:
-            terms.append(self.parse_term() if sign > 0 else -self.parse_term())
+            term = self.parse_term()
+            if isinstance(term, PuiseuxPoly):
+                terms.extend((key, sign * v, term.den) for key, v in term.grid.items())
+            elif term[0]:
+                num, den, ex, ey = term
+                terms.append(((ex, ey), sign * num, den))
             if self.peek() not in ("+", "-"):
-                return _sum(*terms)
+                break
             sign = -1 if self.next()[0] == "-" else 1
+        den = math.lcm(*(t[2] for t in terms))
+        return _record(1, den, _sum_terms((key, v * (den // t_den)) for key, v, t_den in terms))
 
-    def parse_term(self) -> PuiseuxPoly:
-        acc = self.parse_factor()
-        while self.peek() in ("*", "int", "var", "("):
+    def parse_term(self) -> Monomial | PuiseuxPoly:
+        """A product of factors.  Its number and variable factors multiply into
+        one monomial; only a parenthesized factor makes a poly product.  Each
+        product after the first factor is charged ``t1 * t2``, the term counts
+        of the product so far and of the factor (1 for a nonzero monomial)."""
+        num, den, ex, ey = 1, 1, 0, 0
+        poly = None  # the product of the parenthesized factors
+        factor = self.parse_factor()
+        while True:
+            if isinstance(factor, tuple):
+                f_num, f_den, f_ex, f_ey = factor
+                num, den, ex, ey = num * f_num, den * f_den, ex + f_ex, ey + f_ey
+            else:
+                poly = factor if poly is None else poly * factor
+            if self.peek() not in ("*", "int", "var", "("):
+                break
             if self.peek() == "*":
                 self.next()
             pos = self.here()
+            # a nonzero monomial factor moves terms but never merges them
+            t1 = (1 if poly is None else len(poly.grid)) if num else 0
             factor = self.parse_factor()
-            t1, t2 = len(acc.grid), len(factor.grid)
+            t2 = (1 if factor[0] else 0) if isinstance(factor, tuple) else len(factor.grid)
             if min(t1, t2) > 1 and t1 * t2 > _MAX_TERMS:
                 raise ParseError(
                     "product of a %d-term and a %d-term sum can have %d terms, "
                     "above the limit %d" % (t1, t2, t1 * t2, _MAX_TERMS), pos
                 )
             self.charge(t1 * t2, pos)
-            acc = acc * factor
-        return acc
+        k = math.gcd(num, den)
+        num, den = num // k, den // k
+        return (num, den, ex, ey) if poly is None else poly * _monomial(
+            Fraction(num, den), ex, ey)
 
-    def parse_factor(self) -> PuiseuxPoly:
+    def parse_factor(self) -> Monomial | PuiseuxPoly:
         kind = self.peek()
         if kind == "int":
-            num = int(self.next()[1])
-            if self.peek() == "/":
-                self.next()
-                pos = self.here()
-                den = int(self.expect("int")[1])
-                if den == 0:
-                    raise ParseError("zero denominator", pos)
-                return _monomial(Fraction(num, den))
-            return _monomial(Fraction(num))
+            num = self.integer()
+            if self.peek() != "/":
+                return (num, 1, 0, 0)
+            self.next()
+            pos = self.here()
+            den = self.integer()
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            return (num, den, 0, 0)
         if kind == "var":
             var = self.next()[1]
             exp = self.parse_exponent()
-            return _monomial(Fraction(1), exp if var == "x" else 0, exp if var == "y" else 0)
+            return (1, 1, exp, 0) if var == "x" else (1, 1, 0, exp)
         if kind == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError("parentheses nested deeper than %d" % _MAX_NESTING,
@@ -199,7 +246,7 @@ class _Parser:
         if self.peek() != "^":
             return 1
         self.next()
-        return int(self.expect("int")[1])
+        return self.integer()
 
 
 def parse_poly(text: str) -> PuiseuxPoly:
@@ -224,10 +271,12 @@ def parse_form(a_text: str, b_text: str) -> OneForm:
 
 def poly_to_text(p: PuiseuxPoly) -> str:
     """Deterministic rendering; ``parse_poly`` inverts it."""
+    d, den = p.d, p.den
     terms = []
-    for (ex, ey), coeff in p.items():
-        if ex.denominator != 1:
-            raise ValueError("cannot render fractional exponent %s" % rat_str(ex))
-        parts = (power_text("x", ex), power_text("y", ey))
+    for (n, ey), v in sorted(p.grid.items()):
+        if n % d:
+            raise ValueError("cannot render fractional exponent %s" % rat_str(Fraction(n, d)))
+        parts = (power_text("x", n // d), power_text("y", ey))
+        coeff = v // den if v % den == 0 else Fraction(v, den)
         terms.append((coeff, "*".join(part for part in parts if part)))
     return signed_sum(terms)

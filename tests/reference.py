@@ -18,6 +18,15 @@ agreement between the two is meaningful:
   multiplies ``Fraction`` coefficients and adds ``Fraction`` exponents
   pair by pair, where the pipeline multiplies int numerators on an
   integer exponent grid.
+* ``tokenize`` splits a text into the parser's tokens with a character
+  loop, where the parser uses one regular expression.  It reads a digit by
+  ``str.isdigit()``, so a superscript passes it as a digit, which the
+  parser refuses as an unexpected character.
+* ``ProductParser`` is the parser with one poly product per factor of a
+  term and one ``_sum`` of the terms, where the parser keeps a term's
+  number and variable factors as one int monomial.
+* ``poly_to_text`` renders from the ``Fraction`` view ``items()``, where
+  the pipeline renders from the integer grid.
 
 Nothing here calls the polygon hull or the branch search.
 """
@@ -28,7 +37,20 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from puiseuxform.algebra import INFINITY, OneForm, PuiseuxPoly, RatLike, TermKey, _sum_terms
+from puiseuxform.algebra import (
+    INFINITY,
+    OneForm,
+    PuiseuxPoly,
+    RatLike,
+    TermKey,
+    _monomial,
+    _sum,
+    _sum_terms,
+    power_text,
+    rat_str,
+    signed_sum,
+)
+from puiseuxform.cli.parser import _MAX_TERMS, ParseError, _Parser
 from puiseuxform.expansion import PuiseuxBranch
 from puiseuxform.polygon import CloudPoint
 
@@ -159,3 +181,81 @@ def term_product(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
         for (ex1, ey1), c1 in p.terms.items()
         for (ex2, ey2), c2 in q.terms.items()
     ))
+
+
+_SYMBOLS = {"+", "-", "*", "/", "^", "(", ")"}
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, position)`` tokens, one character at a time."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            start = i
+            while i < len(text) and text[i].isdigit():
+                i += 1
+            tokens.append(("int", text[start:i], start))
+        elif ch in "xy":
+            tokens.append(("var", ch, i))
+            i += 1
+        elif ch in _SYMBOLS:
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
+            raise ParseError("unexpected character %r" % ch, i)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class ProductParser(_Parser):
+    """The parser with every factor of a term made a poly and multiplied in."""
+
+    def parse_expr(self) -> PuiseuxPoly:
+        terms = []
+        sign = -1 if self.peek() == "-" else 1
+        if self.peek() in ("+", "-"):
+            self.next()
+        while True:
+            terms.append(self.parse_term() if sign > 0 else -self.parse_term())
+            if self.peek() not in ("+", "-"):
+                return _sum(*terms)
+            sign = -1 if self.next()[0] == "-" else 1
+
+    def parse_term(self) -> PuiseuxPoly:
+        acc = self.parse_poly_factor()
+        while self.peek() in ("*", "int", "var", "("):
+            if self.peek() == "*":
+                self.next()
+            pos = self.here()
+            factor = self.parse_poly_factor()
+            t1, t2 = len(acc.grid), len(factor.grid)
+            if min(t1, t2) > 1 and t1 * t2 > _MAX_TERMS:
+                raise ParseError(
+                    "product of a %d-term and a %d-term sum can have %d terms, "
+                    "above the limit %d" % (t1, t2, t1 * t2, _MAX_TERMS), pos
+                )
+            self.charge(t1 * t2, pos)
+            acc = acc * factor
+        return acc
+
+    def parse_poly_factor(self) -> PuiseuxPoly:
+        factor = self.parse_factor()
+        if isinstance(factor, PuiseuxPoly):
+            return factor
+        num, den, ex, ey = factor
+        return _monomial(Fraction(num, den), ex, ey)
+
+
+def poly_to_text(p: PuiseuxPoly) -> str:
+    """The text of ``p`` from its ``Fraction`` terms, in ``items()`` order."""
+    terms = []
+    for (ex, ey), coeff in p.items():
+        if ex.denominator != 1:
+            raise ValueError("cannot render fractional exponent %s" % rat_str(ex))
+        parts = (power_text("x", ex), power_text("y", ey))
+        terms.append((coeff, "*".join(part for part in parts if part)))
+    return signed_sum(terms)

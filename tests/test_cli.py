@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -497,3 +498,93 @@ def test_polygon_json_and_svg_with_a_side_of_coslope_below_one(tmp_path, capsys)
     assert [(ln.get("data-mu"), ln.get("data-tau")) for ln in supports] == [("2/3", "1")]
     assert run(SHALLOW + ["--svg", str(target), "--support", "1/2,0"]) == 2
     assert capsys.readouterr().err == "error: --support co-slopes must be above 0\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-exp", "1e3000000"),
+    ("--max-exp", "1E-3000000"),
+    ("--max-exp", "1e3_000_000"),
+    ("--dicritical-samples", "1,2e3000000"),
+])
+def test_rational_flags_refuse_huge_decimal_exponents(flag, value, capsys):
+    # Fraction("1e3000000") builds a 10-million-bit integer (about 1 s)
+    start = time.perf_counter()
+    assert run(["verify", "--a", "-3*x^2", "--b", "2*y", flag, value]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s: decimal exponent " % flag)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--signature", "3/2,1e-3000000"], "--signature"),
+    (["polygon", "--a", "-3*x^2", "--b", "2*y", "--svg", "p.svg", "--support", "1e3000000"],
+     "--support"),
+])
+def test_list_flags_refuse_huge_decimal_exponents(argv, flag, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.startswith("error: %s: decimal exponent " % flag)
+
+
+@pytest.mark.parametrize("value, limit", [("1e2", 100), ("3/2", Fraction(3, 2)),
+                                          ("1.5", Fraction(3, 2)), ("15E-1", Fraction(3, 2)),
+                                          ("1e1000", 10**1000)])
+def test_rational_flag_notations_keep_working(value, limit, capsys):
+    assert run(["verify", "--a", "-3*x^2", "--b", "2*y", "--max-exp", value]) == 0
+    assert "PASS" in capsys.readouterr().out
+    args = build_arg_parser().parse_args(["verify", "--max-exp", value])
+    assert _limits(args).max_exponent == limit
+
+
+def test_the_arg_parser_is_built_once():
+    assert build_arg_parser() is build_arg_parser()
+
+
+EULER = ["verify", "--a", "x - y", "--b", "x^2", "--json"]  # truncated at --max-exp
+
+
+def _payload(argv, capsys):
+    code = run(argv)
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_a_flag_of_one_run_does_not_reach_the_next(capsys):
+    before = _payload(EULER, capsys)
+    assert _payload(EULER + ["--max-exp=3/2"], capsys)[1]["branches"][0]["truncated_at"] == "1"
+    after = _payload(EULER, capsys)
+    assert after == before
+    assert after[1]["branches"][0]["truncated_at"] == "40"
+
+
+def test_an_argparse_exit_leaves_the_next_run_correct(capsys):
+    before = _payload(EULER, capsys)
+    with pytest.raises(SystemExit) as exc:
+        run(EULER + ["--max-exp=3/2", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert _payload(EULER, capsys) == before
+
+
+# sha256 of each --help text at 80 columns, recorded before the parser was cached
+HELP_DIGESTS = {
+    "": "701cd5a27e3f8db39a0ffeb6c9382f6a43848bdb79b2767b4a8ed61a50b0d9aa",
+    "polygon": "d3fe538756550ecbf0702bf14f45dbde549e86704a75ace97b724c90ed332c81",
+    "expand": "b7c7b503ddc98fd796d92ef9fd1052040b105dc90272f08d663c9908935c4d55",
+    "verify": "bdc2e830b1d12c7989da971c7d2b76f5e3f75f5055b942ffc4281c72a70a1330",
+    "check-lemmas": "793c0584658e01b9df9d51ce3d2eca0f2b53c218ad98bc91f7c2264cf078cd12",
+    "gen": "4a7dabbb1ebb1bfc1931589f7450187cf6cac86dd1b11aa14082185f197238aa",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_texts_are_pinned(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):  # the second from the parser the first one used
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command], out

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -5,18 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from puiseuxform import PuiseuxPoly
+from puiseuxform.algebra import _record
 from puiseuxform.cli.parser import (
     _MAX_BITS,
     _MAX_WORK,
     FormError,
     ParseError,
+    _Parser,
     _power_work,
+    _tokenize,
     parse_form,
     parse_poly,
     poly_to_text,
 )
-from reference import poly_from_pairs
+from reference import ProductParser, poly_from_pairs
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
@@ -175,3 +180,133 @@ def test_a_long_sum_parses_in_linear_time():
     p = parse_poly(text)
     assert time.perf_counter() - start < 1
     assert len(p.terms) == 2000 and p.coeff(2000, 1) == 2000
+
+
+@pytest.mark.parametrize("text, char, pos",
+                         [("x^²", "²", 2), ("³x", "³", 0), ("2*x + 1²", "²", 7)])
+def test_non_decimal_digits_are_unexpected_characters(text, char, pos):
+    # str.isdigit() accepts superscripts, which int() refuses
+    with pytest.raises(ParseError) as err:
+        parse_poly(text)
+    assert str(err.value) == "unexpected character %r (at position %d)" % (char, pos)
+
+
+def test_decimal_digits_of_other_scripts_parse():
+    assert parse_poly("٣*x") == 3 * X
+    assert parse_poly("x^٢ + १/२") == X**2 + PuiseuxPoly.monomial(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("x + %s", 4),
+    ("x + 1/%s", 6),
+    ("x^%s", 2),
+    ("(x + 1)^%s", 8),
+])
+def test_over_long_integer_literals_are_parse_errors(text, pos):
+    digits = "1" * 5000  # above the interpreter's str -> int limit of 4300 digits
+    with pytest.raises(ParseError, match="integer literal of 5000 digits") as err:
+        parse_poly(text % digits)
+    assert err.value.pos == pos
+
+
+# ASCII and other decimal digits, superscripts (digits to str.isdigit() only),
+# tab, newline, no-break space and stray letters
+token_texts = st.text(st.sampled_from(list("xy+-*/^()0123456789 ") + [
+    "\u0663", "\u0967", "\uff17", "\u00b2", "\u00b3", "\u2082",
+    "\t", "\n", "\u00a0", "z", "X", "\u00e9"]), max_size=24)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return str(err), err.pos
+
+
+@settings(deadline=None, max_examples=500)
+@given(token_texts)
+def test_tokens_match_the_character_loop(text):
+    expected = _tokens_or_error(reference.tokenize, text)
+    # the loop passes a digit that int() cannot read; the parser stops at it
+    stray = next((i for i, ch in enumerate(text) if ch.isdigit() and not ch.isdecimal()), None)
+    failed_before = isinstance(expected, tuple) and stray is not None and expected[1] < stray
+    if stray is not None and not failed_before:
+        expected = "unexpected character %r (at position %d)" % (text[stray], stray), stray
+    assert _tokens_or_error(_tokenize, text) == expected
+
+
+@st.composite
+def term_texts(draw):
+    factors = draw(st.lists(st.sampled_from([
+        "x", "y", "x^2", "y^3", "x^0", "2", "0", "3/4", "1/1", "6/4",
+        "(x + y)", "(x - x)", "(1 + 2*y)^2", "(x*y - 1)", "(0)",
+    ]), min_size=1, max_size=7))
+    glue = draw(st.lists(st.sampled_from(["*", " ", ""]), min_size=len(factors),
+                         max_size=len(factors)))
+    return "".join(f + g for f, g in zip(factors, glue)).rstrip("* ")
+
+
+@st.composite
+def product_texts(draw):
+    terms = draw(st.lists(term_texts(), min_size=1, max_size=4))
+    signs = draw(st.lists(st.sampled_from([" + ", " - "]), min_size=len(terms),
+                          max_size=len(terms)))
+    return "".join(s + t for s, t in zip(signs, terms)).strip()
+
+
+def _charges(parser_class, text):
+    """``(charges, poly or error)`` of one parse: every ``(work, position)`` charged."""
+    parser = parser_class(text)
+    charges = []
+    charge = parser.charge
+    parser.charge = lambda work, pos: (charges.append((work, pos)), charge(work, pos))
+    try:
+        poly = parser.parse_expr()
+        outcome = poly if parser.peek() == "end" else parser.here()
+    except ParseError as err:
+        outcome = str(err)
+    return charges, outcome
+
+
+@settings(deadline=None, max_examples=300)
+@given(product_texts())
+def test_parses_charge_and_give_what_one_product_per_factor_does(text):
+    assert _charges(_Parser, text) == _charges(ProductParser, text)
+
+
+def test_a_run_of_monomial_factors_charges_one_per_product():
+    text = "*".join(["2", "x", "y", "3"] * 12501)  # 50003 products of monomials
+    charges, error = _charges(_Parser, text)
+    assert (charges, error) == _charges(ProductParser, text)
+    assert charges == [(1, 2 * k) for k in range(1, _MAX_WORK + 2)]
+    assert error == ("expanding the input takes %d term products, above the limit %d "
+                     "(at position %d)" % (_MAX_WORK + 1, _MAX_WORK, 2 * (_MAX_WORK + 1)))
+    # a zero factor makes every later product of the term charge 0; (x + y) is
+    # charged the 2 products of its power 1 when it is read
+    assert _charges(_Parser, "2*x*0*y*(x + y)*3")[0] == [
+        (1, 2), (0, 4), (0, 6), (2, 15), (0, 8), (0, 16)]
+
+
+pairs = st.lists(st.tuples(
+    st.sampled_from([0, 1, 2, 5, Fraction(1, 2)]),
+    st.integers(0, 4),
+    st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9),
+              st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+), max_size=6)
+
+
+@settings(deadline=None, max_examples=300)
+@given(pairs, st.integers(1, 4), st.integers(1, 3))
+def test_text_matches_the_fraction_renderer(pairs, content, widen):
+    p = poly_from_pairs(pairs)
+    # the same poly on a wider grid and with a content that is not 1
+    wide = _record(p.d * widen, p.den * content,
+                   {(n * widen, ey): v * content for (n, ey), v in p.grid.items()})
+    for q in (p, wide):
+        try:
+            expected = reference.poly_to_text(q)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                poly_to_text(q)
+        else:
+            assert poly_to_text(q) == expected
