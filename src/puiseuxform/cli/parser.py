@@ -6,16 +6,7 @@ import math
 import re
 from fractions import Fraction
 
-from ..algebra import (
-    OneForm,
-    PuiseuxPoly,
-    _monomial,
-    _record,
-    _sum_terms,
-    power_text,
-    rat_str,
-    signed_sum,
-)
+from ..algebra import OneForm, PuiseuxPoly, _monomial, _sum, power_text, rat_str, signed_sum
 
 
 class ParseError(ValueError):
@@ -132,30 +123,22 @@ class _Parser:
                              pos) from None
 
     def parse_expr(self) -> PuiseuxPoly:
-        """A signed sum of terms, added into one grid dict over the lcm of their
-        denominators; every x-exponent of a text is whole, so ``d`` is 1."""
-        terms = []  # (key, numerator, denominator) of every term of every product
+        terms = []
         sign = -1 if self.peek() == "-" else 1
         if self.peek() in ("+", "-"):
             self.next()
         while True:
-            term = self.parse_term()
-            if isinstance(term, PuiseuxPoly):
-                terms.extend((key, sign * v, term.den) for key, v in term.grid.items())
-            elif term[0]:
-                num, den, ex, ey = term
-                terms.append(((ex, ey), sign * num, den))
+            terms.append(self.parse_term() if sign > 0 else -self.parse_term())
             if self.peek() not in ("+", "-"):
-                break
+                return _sum(*terms)
             sign = -1 if self.next()[0] == "-" else 1
-        den = math.lcm(*(t[2] for t in terms))
-        return _record(1, den, _sum_terms((key, v * (den // t_den)) for key, v, t_den in terms))
 
-    def parse_term(self) -> Monomial | PuiseuxPoly:
+    def parse_term(self) -> PuiseuxPoly:
         """A product of factors.  Its number and variable factors multiply into
-        one monomial; only a parenthesized factor makes a poly product.  Each
-        product after the first factor is charged ``t1 * t2``, the term counts
-        of the product so far and of the factor (1 for a nonzero monomial)."""
+        one monomial; only a parenthesized factor makes a poly product, and
+        none once the product is zero.  Each product after the first factor is
+        charged ``t1 * t2``, the term counts of the product so far and of the
+        factor (1 for a nonzero monomial)."""
         num, den, ex, ey = 1, 1, 0, 0
         poly = None  # the product of the parenthesized factors
         factor = self.parse_factor()
@@ -163,7 +146,7 @@ class _Parser:
             if isinstance(factor, tuple):
                 f_num, f_den, f_ex, f_ey = factor
                 num, den, ex, ey = num * f_num, den * f_den, ex + f_ex, ey + f_ey
-            else:
+            elif num:  # a product charged 0 must cost nothing
                 poly = factor if poly is None else poly * factor
             if self.peek() not in ("*", "int", "var", "("):
                 break
@@ -180,10 +163,8 @@ class _Parser:
                     "above the limit %d" % (t1, t2, t1 * t2, _MAX_TERMS), pos
                 )
             self.charge(t1 * t2, pos)
-        k = math.gcd(num, den)
-        num, den = num // k, den // k
-        return (num, den, ex, ey) if poly is None else poly * _monomial(
-            Fraction(num, den), ex, ey)
+        monomial = _monomial(Fraction(num, den), ex, ey)
+        return monomial if poly is None or not num else poly * monomial
 
     def parse_factor(self) -> Monomial | PuiseuxPoly:
         kind = self.peek()

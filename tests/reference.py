@@ -23,8 +23,8 @@ agreement between the two is meaningful:
   ``str.isdigit()``, so a superscript passes it as a digit, which the
   parser refuses as an unexpected character.
 * ``ProductParser`` is the parser with one poly product per factor of a
-  term and one ``_sum`` of the terms, where the parser keeps a term's
-  number and variable factors as one int monomial.
+  term, where the parser keeps a term's number and variable factors as one
+  int monomial and stops multiplying once the product is zero.
 * ``poly_to_text`` renders from the ``Fraction`` view ``items()``, where
   the pipeline renders from the integer grid.
 
@@ -44,7 +44,6 @@ from puiseuxform.algebra import (
     RatLike,
     TermKey,
     _monomial,
-    _sum,
     _sum_terms,
     power_text,
     rat_str,
@@ -213,17 +212,6 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class ProductParser(_Parser):
     """The parser with every factor of a term made a poly and multiplied in."""
-
-    def parse_expr(self) -> PuiseuxPoly:
-        terms = []
-        sign = -1 if self.peek() == "-" else 1
-        if self.peek() in ("+", "-"):
-            self.next()
-        while True:
-            terms.append(self.parse_term() if sign > 0 else -self.parse_term())
-            if self.peek() not in ("+", "-"):
-                return _sum(*terms)
-            sign = -1 if self.next()[0] == "-" else 1
 
     def parse_term(self) -> PuiseuxPoly:
         acc = self.parse_poly_factor()

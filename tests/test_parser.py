@@ -182,6 +182,17 @@ def test_a_long_sum_parses_in_linear_time():
     assert len(p.terms) == 2000 and p.coeff(2000, 1) == 2000
 
 
+@pytest.mark.parametrize("template", ["0*%s", "(x + y)*0*%s", "(x - x)*%s"])
+def test_a_zero_factor_makes_no_later_products(template):
+    # each product after a zero factor is charged 0, so it must cost nothing:
+    # five products of 1000-term sums are about 10**7 term products
+    sums = "*".join(["(%s)" % " + ".join("x^%d" % k for k in range(1000))] * 5)
+    text = template % ((sums,) * template.count("%s"))
+    start = time.perf_counter()
+    assert parse_poly(text) == PuiseuxPoly()
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("text, char, pos",
                          [("x^²", "²", 2), ("³x", "³", 0), ("2*x + 1²", "²", 7)])
 def test_non_decimal_digits_are_unexpected_characters(text, char, pos):
