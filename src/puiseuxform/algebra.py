@@ -144,15 +144,11 @@ class PuiseuxPoly:
         """
         if isinstance(ex, float):
             raise ValueError("floats are not exact: %r" % ex)
-        ex = Fraction(ex) if isinstance(ex, str) else ex
-        v = self._numerator(ex.numerator, ex.denominator, ey)
-        return _ZERO if v is None else Fraction(v, self.den)
+        return self.terms.get((Fraction(ex) if isinstance(ex, str) else ex, ey), _ZERO)
 
     def items(self) -> tuple[tuple[TermKey, Fraction], ...]:
         """Terms sorted by ``(ex, ey)`` — the deterministic iteration order."""
-        d, den = self.d, self.den
-        return tuple(((Fraction(n, d), ey), Fraction(v, den))
-                     for (n, ey), v in sorted(self.grid.items()))
+        return tuple(sorted(self.terms.items()))
 
     # -- arithmetic --------------------------------------------------------
 

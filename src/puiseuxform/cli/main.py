@@ -133,10 +133,10 @@ def _emit_json(payload: dict, code: int) -> int:
     return code
 
 
-def _polygon_payload(w: OneForm, np) -> dict:
+def _polygon_payload(w: OneForm, np, pts, contacts) -> dict:
     sides = []
-    for s in np.sides:
-        phi = characteristic_poly(w, support(np, s.coslope))
+    for s, contact in zip(np.sides, contacts):
+        phi = characteristic_poly(w, contact)
         sides.append(
             {
                 "start": _pt(s.start),
@@ -147,7 +147,7 @@ def _polygon_payload(w: OneForm, np) -> dict:
             }
         )
     return {
-        "cloud": [_pt(p) for p in cloud(w)],
+        "cloud": [_pt(p) for p in pts],
         "polygon": {
             "vertices": [_pt(v) for v in np.vertices],
             "sides": sides,
@@ -215,13 +215,16 @@ def cmd_polygon(args) -> int:
     np = polygon_of(w)
     if args.support and not args.svg:
         raise ValueError("--support requires --svg")
+    pts = cloud(w)
+    contacts = [support(np, s.coslope) for s in np.sides]
     if args.svg:
-        mus = (_rat_list_flag("--support", args.support) if args.support
-               else [s.coslope for s in np.sides] or [Fraction(1)])
+        mus = _rat_list_flag("--support", args.support) if args.support else []
         if any(mu <= 0 for mu in mus):
             raise ValueError("--support co-slopes must be above 0")
-        Path(args.svg).write_text(build_svg(w, np, mus), encoding="utf-8")
-    payload = _polygon_payload(w, np)
+        lines = ([support(np, mu) for mu in mus] if args.support
+                 else contacts or [support(np, Fraction(1))])
+        Path(args.svg).write_text(build_svg(pts, np.vertices, lines), encoding="utf-8")
+    payload = _polygon_payload(w, np, pts, contacts)
     if args.json:
         return _emit_json(payload, 0)
     print("cloud points:", _pts_text(payload["cloud"]))

@@ -204,11 +204,11 @@ class _Parser:
                     "power %d of a %d-term sum can have %d terms, above the limit %d"
                     % (exp, t, bound, _MAX_TERMS), pos
                 )
-            # ceil(log2 |v|) is (|v| - 1).bit_length(), so a coefficient
-            # of absolute value 1 stays 1 under any power
-            bits = exp * max(
-                ((abs(v) - 1).bit_length() for c in inner.terms.values()
-                 for v in (c.numerator, c.denominator)), default=0)
+            # a coefficient v/den has the bits of its larger reduced part, and
+            # ceil(log2 |u|) is (|u| - 1).bit_length(): 1 stays 1 under any power
+            den = inner.den
+            bits = exp * max(((max(abs(v), den) // math.gcd(v, den) - 1).bit_length()
+                              for v in inner.grid.values()), default=0)
             if bits > _MAX_BITS:
                 raise ParseError(
                     "power %d can give a coefficient of %d bits, above the limit %d"
@@ -245,7 +245,7 @@ def parse_form(a_text: str, b_text: str) -> OneForm:
     b = parse_poly(b_text)
     if a.is_zero() and b.is_zero():
         raise FormError("both coefficients are zero")
-    if a.coeff(0, 0) != 0 or b.coeff(0, 0) != 0:
+    if (0, 0) in a.grid or (0, 0) in b.grid:
         raise FormError("form is not singular at the origin (constant term present)")
     return OneForm(a, b)
 

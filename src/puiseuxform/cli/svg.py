@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from ..algebra import OneForm, rat_str
-from ..polygon import NewtonPolygon, cloud, support
+from ..algebra import rat_str
 
 _SCALE = 60.0
 _PAD = 40.0
@@ -22,16 +20,13 @@ _STYLE = (
 )
 
 
-def build_svg(w: OneForm, np: NewtonPolygon, support_mus=()) -> str:
-    pts = cloud(w)
-    mus = [Fraction(mu) for mu in support_mus]
-    contacts = [(mu, support(np, mu)) for mu in mus]
-
+def build_svg(pts, vertices, contacts) -> str:
+    """The SVG of the cloud ``pts``, the polygon's ``vertices`` and the contacts' lines."""
     xs = [float(p.i) for p in pts] + [0.0]
     ys = [float(p.j) for p in pts] + [0.0]
-    for mu, con in contacts:
+    for con in contacts:
         xs.append(float(con.tau))
-        ys.append(float(con.tau / mu))
+        ys.append(float(con.tau / con.mu))
     xlo, xhi = min(xs) - 0.7, max(xs) + 0.7
     ylo, yhi = min(ys) - 0.7, max(ys) + 0.7
 
@@ -61,8 +56,8 @@ def build_svg(w: OneForm, np: NewtonPolygon, support_mus=()) -> str:
     for gy in range(math.ceil(ylo), math.floor(yhi) + 1):
         parts.append(line(xlo, gy, xhi, gy, "axis" if gy == 0 else "grid"))
 
-    for mu, con in contacts:
-        # the support line i + mu*j = tau, clipped to the view box
+    for con in contacts:
+        mu = con.mu  # the support line i + mu*j = tau, clipped to the view box
         ja = max(ylo, (float(con.tau) - xhi) / float(mu))
         jb = min(yhi, (float(con.tau) - xlo) / float(mu))
         if ja < jb:
@@ -79,12 +74,12 @@ def build_svg(w: OneForm, np: NewtonPolygon, support_mus=()) -> str:
                 % (X(float(con.tau)) + 4, Y(0) - 4, rat_str(mu), rat_str(con.tau))
             )
 
-    if len(np.vertices) > 1:
+    if len(vertices) > 1:
         coords = " ".join(
-            "%.2f,%.2f" % (X(float(v.i)), Y(float(v.j))) for v in np.vertices
+            "%.2f,%.2f" % (X(float(v.i)), Y(float(v.j))) for v in vertices
         )
         parts.append('<polyline class="polygon" points="%s"/>' % coords)
-    top, bottom = np.vertices[0], np.vertices[-1]
+    top, bottom = vertices[0], vertices[-1]
     parts.append(line(float(top.i), float(top.j), float(top.i), yhi, "ray"))
     parts.append(line(float(bottom.i), float(bottom.j), xhi, float(bottom.j), "ray"))
 

@@ -335,7 +335,7 @@ def _validate_expandable(w: OneForm) -> None:
             raise ValueError("expansion requires integer input exponents")
     if w.a.is_zero() and w.b.is_zero():
         raise ValueError("cannot expand the zero form")
-    if w.a.coeff(0, 0) != 0 or w.b.coeff(0, 0) != 0:
+    if (0, 0) in w.a.grid or (0, 0) in w.b.grid:
         raise ValueError("expansion requires a singular form (a(0,0) = b(0,0) = 0)")
 
 
@@ -478,7 +478,8 @@ def lemma_checks(trace) -> LemmaReport:
 
         s = step.q_after // step.q_before
         l3_applies = s > 1 and P.j > 1
-        on_side = support(np_after, step.mu).kind == "side"
+        # for mu > 0 the support contact is a side exactly when mu is a side's co-slope
+        on_side = any(side.coslope == step.mu for side in np_after.sides)
         nxt = support(np_after, mu_next) if on_side or l3_applies else None
         if on_side:
             l2 = _outcome(

@@ -135,19 +135,23 @@ def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
     return SupportContact(mu, Fraction(low, L * b), pts, kind, pts[0])
 
 
-def polygon_of(w: OneForm) -> NewtonPolygon:
-    """Newton polygon of the form, its cloud scanned and its hull built in
-    integers on the grid ``d`` of both coefficients (``x^i`` at ``i*d``); only
-    the staircase points and the side co-slopes are ``Fraction``s."""
+def _scan(w: OneForm) -> tuple[Iterable[tuple[int, int]], int]:
+    """The cloud's points ``(n, j)`` on the grid ``d`` of both coefficients, and
+    ``d``: ``a``'s ``x^i y^j`` and ``b``'s ``x^(i+1) y^(j-1)`` at ``(i*d, j)``."""
     d = math.lcm(w.a.d, w.b.d)  # only the keys are read: no numerator is lifted
     a, b = _rescale(w.a.grid, d // w.a.d), _rescale(w.b.grid, d // w.b.d)
-    return _polygon(itertools.chain(a, ((n - d, ey + 1) for n, ey in b)), d)
+    return itertools.chain(a, ((n - d, ey + 1) for n, ey in b)), d
+
+
+def polygon_of(w: OneForm) -> NewtonPolygon:
+    """Newton polygon of the form, its hull built in integers on the cloud's grid."""
+    return _polygon(*_scan(w))
 
 
 def cloud(w: OneForm) -> tuple[CloudPoint, ...]:
     """The form's whole cloud, sorted by abscissa, then ordinate."""
-    return tuple(sorted({*map(CloudPoint._make, w.a.terms),
-                         *(CloudPoint(ex - 1, ey + 1) for ex, ey in w.b.terms)}))
+    points, d = _scan(w)
+    return tuple(CloudPoint(Fraction(n, d), j) for n, j in sorted(set(points)))
 
 
 def cloud_pair(w: OneForm, i: Fraction, j: int) -> tuple[int, int]:

@@ -232,8 +232,31 @@ def test_polygon_of_a_ramified_form_matches_the_brute_force_hull(a, b):
     assert all(type(s.coslope) is Fraction for s in np.sides)
 
 
+@settings(deadline=None)
+@given(ramified_terms, ramified_terms)
+def test_cloud_is_the_rule_on_the_fraction_terms(a, b):
+    # a's x^i y^j and b's x^(i+1) y^(j-1) put the point (i, j) in the cloud
+    rule = {*a.terms, *((ex - 1, ey + 1) for ex, ey in b.terms)}
+    points = cloud(OneForm(a, b))
+    assert points == tuple(sorted(CloudPoint(i, j) for i, j in rule))
+    assert all(type(p.i) is Fraction for p in points)
+
+
 # co-slopes with denominators 1..6, shallow ones (mu < 1) included
 support_coslopes = st.fractions(min_value=0, max_value=8, max_denominator=6).filter(bool)
+
+
+@settings(deadline=None)
+@given(ramified_terms, ramified_terms, support_coslopes)
+def test_a_support_contact_is_a_side_exactly_at_a_side_coslope(a, b, mu):
+    # lemma_checks reads L2's hypothesis off the sides, not off a support call
+    w = OneForm(a, b)
+    if _well_formed_cloud(w) is None:
+        return
+    np = polygon_of(w)
+    coslopes = [s.coslope for s in np.sides]
+    for m in (mu, *coslopes):
+        assert (support(np, m).kind == "side") == (m in coslopes)
 
 
 @settings(deadline=None)
