@@ -191,6 +191,8 @@ class _Parser:
             inner = self.parse_expr()
             self.expect(")")
             self.depth -= 1
+            if self.peek() != "^":  # not a power: no product, limit or charge
+                return inner
             pos = self.here()
             exp = self.parse_exponent()
             t = len(inner.grid)

@@ -21,6 +21,7 @@ from puiseuxform.cli.parser import (
     parse_poly,
     poly_to_text,
 )
+from puiseuxform.oracle import STANDARD_SIGNATURES, gen_case
 from reference import ProductParser, poly_from_pairs
 
 X = PuiseuxPoly.monomial(1, 1)
@@ -182,6 +183,27 @@ def test_a_long_sum_parses_in_linear_time():
     assert len(p.terms) == 2000 and p.coeff(2000, 1) == 2000
 
 
+def _work(text):
+    """The poly of ``text`` and the term products its parse charges."""
+    parser = _Parser(text)
+    poly = parser.parse_expr()
+    assert parser.peek() == "end"
+    return poly, parser.work
+
+
+@pytest.mark.parametrize("text", [
+    poly_to_text(gen_case(STANDARD_SIGNATURES[5], 1).curve),  # 32 terms
+    "%d*x" % 10**399,  # a coefficient of 1326 bits
+    " + ".join("x^%d" % k for k in range(1, 1002)),  # 1001 terms
+    " + ".join("x^%d*y" % k for k in range(1, 40)),  # 39 products
+], ids=["curve-32-terms", "coefficient-1326-bits", "sum-1001-terms", "products-39"])
+def test_a_parenthesized_factor_without_a_power_is_its_inner_poly(text):
+    # each went through "power 1": a product, the power limits and its charge
+    assert _work("(%s)" % text) == _work(text)
+    # a product with it is charged its term count, as for any sum
+    assert _work("(%s)*y" % text)[1] == _work(text)[1] + len(parse_poly(text).grid)
+
+
 @pytest.mark.parametrize("template", ["0*%s", "(x + y)*0*%s", "(x - x)*%s"])
 def test_a_zero_factor_makes_no_later_products(template):
     # each product after a zero factor is charged 0, so it must cost nothing:
@@ -292,10 +314,12 @@ def test_a_run_of_monomial_factors_charges_one_per_product():
     assert charges == [(1, 2 * k) for k in range(1, _MAX_WORK + 2)]
     assert error == ("expanding the input takes %d term products, above the limit %d "
                      "(at position %d)" % (_MAX_WORK + 1, _MAX_WORK, 2 * (_MAX_WORK + 1)))
-    # a zero factor makes every later product of the term charge 0; (x + y) is
-    # charged the 2 products of its power 1 when it is read
+    # a zero factor makes every later product of the term charge 0; (x + y)^1 is
+    # charged the 2 products of its power when it is read, (x + y) nothing
+    assert _charges(_Parser, "2*x*0*y*(x + y)^1*3")[0] == [
+        (1, 2), (0, 4), (0, 6), (2, 15), (0, 8), (0, 18)]
     assert _charges(_Parser, "2*x*0*y*(x + y)*3")[0] == [
-        (1, 2), (0, 4), (0, 6), (2, 15), (0, 8), (0, 16)]
+        (1, 2), (0, 4), (0, 6), (0, 8), (0, 16)]
 
 
 pairs = st.lists(st.tuples(
