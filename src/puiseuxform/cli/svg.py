@@ -8,6 +8,10 @@ from ..algebra import rat_str
 
 _SCALE = 60.0
 _PAD = 40.0
+# Most units the view may span on an axis: it draws a grid line a unit.  A side
+# of an integer cloud in such a view has a co-slope between 1/_MAX_VIEW and
+# _MAX_VIEW, and every coordinate and co-slope drawn is at most _MAX_VIEW in size.
+_MAX_VIEW = 1000
 
 _STYLE = (
     ".grid{stroke:#ddd;stroke-width:0.5}"
@@ -20,15 +24,31 @@ _STYLE = (
 )
 
 
+def _span(xs, ys):
+    return max(max(xs) - min(xs), max(ys) - min(ys))
+
+
 def build_svg(pts, vertices, contacts) -> str:
-    """The SVG of the cloud ``pts``, the polygon's ``vertices`` and the contacts' lines."""
-    xs = [float(p.i) for p in pts] + [0.0]
-    ys = [float(p.j) for p in pts] + [0.0]
+    """The SVG of the cloud ``pts``, the polygon's ``vertices`` and the contacts' lines.
+
+    The view holds the origin, the cloud and each line's intercepts ``tau`` and
+    ``tau/mu``.  A view wider than ``_MAX_VIEW`` units, or a co-slope that no
+    side in it can have, raises ``ValueError`` before any float is made."""
+    xs = [p.i for p in pts] + [0]
+    ys = [p.j for p in pts] + [0]
+    if _span(xs, ys) > _MAX_VIEW:
+        raise ValueError("--svg: the cloud's view spans more than %d units" % _MAX_VIEW)
     for con in contacts:
-        xs.append(float(con.tau))
-        ys.append(float(con.tau / con.mu))
-    xlo, xhi = min(xs) - 0.7, max(xs) + 0.7
-    ylo, yhi = min(ys) - 0.7, max(ys) + 0.7
+        if con.mu > _MAX_VIEW or con.mu * _MAX_VIEW < 1:
+            raise ValueError("--support co-slopes must be between 1/%d and %d"
+                             % (_MAX_VIEW, _MAX_VIEW))
+        xs.append(con.tau)
+        ys.append(con.tau / con.mu)
+    if _span(xs, ys) > _MAX_VIEW:
+        raise ValueError("--support: the support lines stretch the view beyond %d units"
+                         % _MAX_VIEW)
+    xlo, xhi = float(min(xs)) - 0.7, float(max(xs)) + 0.7
+    ylo, yhi = float(min(ys)) - 0.7, float(max(ys)) + 0.7
 
     width = (xhi - xlo) * _SCALE + 2 * _PAD
     height = (yhi - ylo) * _SCALE + 2 * _PAD

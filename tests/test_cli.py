@@ -247,6 +247,64 @@ def test_svg_custom_support_lines(tmp_path, capsys):
     assert [ln.get("data-mu") for ln in supports] == ["1", "3/2", "2"]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("b, value, err", [
+    ("2*y", "1e400", "--support co-slopes must be between 1/1000 and 1000"),
+    ("2*y", "1e-400", "--support co-slopes must be between 1/1000 and 1000"),
+    ("2*y", "1001,1", "--support co-slopes must be between 1/1000 and 1000"),
+    ("2*y", "1/1001", "--support co-slopes must be between 1/1000 and 1000"),
+    # the line meets i = 0 at j = -998, 1001 units below the point (-1, 3)
+    ("2*y + y^2", "1/1000", "--support: the support lines stretch the view beyond 1000 units"),
+], ids=["1e400", "1e-400", "1001", "1/1001", "stretch"])
+def test_support_lines_beyond_the_view_name_the_flag(b, value, err, json_flag, tmp_path,
+                                                     capsys):
+    # float() of mu or of tau/mu overflowed: an OverflowError traceback, exit 1
+    target = tmp_path / "p.svg"
+    argv = ["polygon", "--a", "-3*x^2", "--b", b, "--svg", str(target),
+            "--support", value, *json_flag]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % err)
+    assert not target.exists()
+
+
+def test_support_lines_at_the_view_limit_are_drawn(tmp_path, capsys):
+    # on the cusp, co-slope 1/1000 meets i = 0 at j = -998: the view spans j = -998..2
+    target = tmp_path / "p.svg"
+    assert run(["polygon", "--a", "-3*x^2", "--b", "2*y", "--svg", str(target),
+                "--support", "1000,1/1000"]) == 0
+    capsys.readouterr()
+    supports = [ln for ln in ET.parse(target).getroot().findall(".//s:line", SVG_NS)
+                if ln.get("class") == "support"]
+    assert [ln.get("data-mu") for ln in supports] == ["1000", "1/1000"]
+
+
+@pytest.mark.parametrize("exponent", ["1000", "100000", "1000000000", "1" + "0" * 400],
+                         ids=["1000", "100000", "1000000000", "401-digits"])
+def test_the_svg_view_is_bounded(exponent, tmp_path, capsys):
+    # one grid line a unit: x^1000000 took 2.8 s and 294 MB and wrote 77.6 MB,
+    # and a 401-digit exponent overflowed float()
+    argv = ["polygon", "--a", "x^" + exponent, "--b", "y"]
+    target = tmp_path / "wide.svg"
+    start = time.perf_counter()
+    assert run(argv + ["--svg", str(target)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == ("", "error: --svg: the cloud's view spans more than "
+                                       "1000 units\n")
+    assert not target.exists()
+    assert run(argv) == 0
+    assert "side (-1, 2) -- (%s, 0)" % exponent in capsys.readouterr().out
+
+
+def test_a_view_of_1000_units_is_drawn(tmp_path, capsys):
+    # the cloud (-1, 2), (999, 0) and the origin span 1000 units
+    target = tmp_path / "p.svg"
+    assert run(["polygon", "--a", "x^999", "--b", "y", "--svg", str(target)]) == 0
+    capsys.readouterr()
+    grid = [ln for ln in ET.parse(target).getroot().findall(".//s:line", SVG_NS)
+            if ln.get("class") in ("grid", "axis")]
+    assert len(grid) == 1001 + 3  # i = -1..999 and j = 0..2, axes included
+
+
 def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "puiseuxform", "verify", "--a=-3*x^2", "--b=2*y"],
