@@ -17,8 +17,14 @@ forms are the 104 planted corpus forms (``STANDARD_SIGNATURES`` x seeds
 * ``svg``: ``polygon --svg`` over every form, with the default support
   lines and with ``--support=1,3/2,2,7/4``.  Its digest also covers the
   SVG bytes; the temporary SVG path is masked in the argv and stdout.
+* ``inputs``: ``polygon`` and ``verify`` on hostile or edge input: huge
+  coefficients and sums with and without parentheses, support lines and
+  clouds too wide to draw, deep parentheses and an over-long literal.
 
-A refactor that keeps behaviour prints the same digests before and after.
+An exception that escapes ``run()`` is recorded in place of the exit code
+and the output, as its type name and message, so a commit at which some
+input crashes still gets its digests.  A refactor that keeps behaviour
+prints the same digests before and after.
 Run it from the repository root (it takes a minute or two)::
 
     PYTHONPATH=src python tests/dump_behaviour.py
@@ -63,6 +69,22 @@ LONG_CHAIN = ["--a=y^3 - x^4", "--b=-3*y^3 + y^5 + 2*x^3*y^3 - 2*x^5*y^3"]
 ZERO_SAMPLES = (["--dicritical-samples=0"], ["--dicritical-samples=0,1", "--json"])
 SVG = "<svg>"  # stands for the temporary SVG path
 SVG_VARIANTS = (["--svg=" + SVG], ["--svg=" + SVG, "--support=1,3/2,2,7/4"])
+CUSP = ["--a=-3*x^2", "--b=2*y"]
+BIG = "%d*x" % 10**399  # a coefficient of 1326 bits
+LONG_SUM = " + ".join("x^%d" % k for k in range(1, 1002))  # 1001 terms
+INPUTS = [
+    *(["polygon", "--a=" + a, "--b=y"]
+      for a in (BIG, "(%s)" % BIG, LONG_SUM, "(%s)" % LONG_SUM)),
+    *(["polygon", *CUSP, "--svg=" + SVG, "--support=" + mu, *extra]
+      for mu in ("1e400", "1e-400", "1/1000", "1/1001") for extra in ([], ["--json"])),
+    ["polygon", "--a=-3*x^2", "--b=2*y + y^2", "--svg=" + SVG, "--support=1/1000"],
+    *(["polygon", "--a=x^" + e, "--b=y", *extra]
+      for e in ("999", "1000", "100000", "1" + "0" * 400) for extra in ([], ["--svg=" + SVG])),
+    ["verify", "--a=" + "(" * 330 + "x*y" + ")" * 330, "--b=y"],
+    ["polygon", "--a=" + "(" * 1000 + "x" + ")" * 1000, "--b=y"],
+    ["verify", "--a=" + "(" * 200 + "x*y" + ")" * 200, "--b=y"],
+    ["polygon", "--a=x^" + "1" * 5000, "--b=y"],
+]
 
 
 def families() -> dict[str, list[list[str]]]:
@@ -94,6 +116,7 @@ def families() -> dict[str, list[list[str]]]:
     table["gen"] = gens
     table["gen --json"] = [argv + ["--json"] for argv in gens]
     table["svg"] = [["polygon", *f, *extra] for extra in SVG_VARIANTS for f in ab]
+    table["inputs"] = INPUTS
     return table
 
 
@@ -103,9 +126,13 @@ def family_digest(argvs: list[list[str]]) -> str:
         path = Path(tmp) / "polygon.svg"
         for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = run([arg.replace(SVG, str(path)) for arg in argv])
-            record = [argv, code, out.getvalue().replace(str(path), SVG), err.getvalue()]
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = run([arg.replace(SVG, str(path)) for arg in argv])
+                output = out.getvalue()
+            except Exception as exc:  # an input fault: its type and message stand in
+                code, output = type(exc).__name__, str(exc)
+            record = [argv, code, output.replace(str(path), SVG), err.getvalue()]
             if any(arg.startswith("--svg=") for arg in argv):
                 record.append(path.read_text(encoding="utf-8") if path.exists() else None)
                 path.unlink(missing_ok=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from puiseuxform import Limits
-from puiseuxform.cli.main import _limits, build_arg_parser, run
+from puiseuxform.cli.main import _VALUE_FLAGS, _limits, _normalize_argv, build_arg_parser, run
 from puiseuxform.oracle import MAX_GEN_RAMIFICATION, _validate_signature
 
 SVG_NS = {"s": "http://www.w3.org/2000/svg"}
@@ -329,6 +330,26 @@ def test_gen_runs_without_sympy(child_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["r"] == 2
+
+
+def _value_options():
+    """``{subcommand: its options that take a value}``, read from argparse."""
+    sub, = (act for act in build_arg_parser()._actions
+            if isinstance(act, argparse._SubParsersAction))
+    return {name: {opt: act.dest for act in sp._actions if act.nargs != 0
+                   for opt in act.option_strings}
+            for name, sp in sub.choices.items()}
+
+
+def test_every_value_flag_accepts_a_dash_leading_value():
+    options = _value_options()
+    assert set(options) == {"polygon", "expand", "verify", "check-lemmas", "gen"}
+    assert _VALUE_FLAGS == {opt for opts in options.values() for opt in opts}
+    for command, opts in options.items():
+        for opt, dest in opts.items():
+            # argparse would refuse "-1" as an option it does not know
+            args = build_arg_parser().parse_args(_normalize_argv([command, opt, "-1"]))
+            assert getattr(args, dest) in ("-1", -1), (command, opt)
 
 
 def test_dash_leading_expression_values(capsys):
