@@ -282,7 +282,7 @@ def test_support_lines_at_the_view_limit_are_drawn(tmp_path, capsys):
 @pytest.mark.parametrize("exponent", ["1000", "100000", "1000000000", "1" + "0" * 400],
                          ids=["1000", "100000", "1000000000", "401-digits"])
 def test_the_svg_view_is_bounded(exponent, tmp_path, capsys):
-    # one grid line a unit: x^1000000 took 2.8 s and 294 MB and wrote 77.6 MB,
+    # one grid line a unit: x^1000000 took 294 MB and wrote 77.6 MB,
     # and a 401-digit exponent overflowed float()
     argv = ["polygon", "--a", "x^" + exponent, "--b", "y"]
     target = tmp_path / "wide.svg"
