@@ -441,17 +441,17 @@ def test_lemma_l3_and_corollary_on_height_four_jump():
     assert seen > 0
 
 
-def _l3_after(form_after):
+def _lemmas_after(form_after):
     # a hand-built characteristic step mu = 3/2 (q 1 -> 2) from the contact
-    # top P = (-1, 2): L3 expects P and the survivor (1/2, 1) in the cloud
-    # of form_after
+    # top P = (-1, 2), tau = 2: L3 expects P and the survivor (1/2, 1) in the
+    # cloud of form_after, and the next grid line has co-slope 2
     P = CloudPoint(Fraction(-1), 2)
     contact = SupportContact(
         Fraction(3, 2), Fraction(2), (P, CloudPoint(Fraction(2), 0)), "side", P
     )
     step = BranchStep(Fraction(3, 2), Fraction(1), 1, contact, False)
     (entry,) = lemma_checks([TraceStep(step, form_after, polygon_of(form_after))]).steps
-    return entry.l3
+    return entry
 
 
 def test_lemma_l3_finds_a_survivor_above_the_staircase():
@@ -460,13 +460,26 @@ def test_lemma_l3_finds_a_survivor_above_the_staircase():
     a = PuiseuxPoly({(Fraction(1, 2), 1): 1, (0, 1): 1})
     w = OneForm(a, Y)
     assert CloudPoint(Fraction(1, 2), 1) not in polygon_of(w).staircase
-    l3 = _l3_after(w)
+    l3 = _lemmas_after(w).l3
     assert l3.status == "pass"
     assert l3.detail == "expected (-1, 2) and (1/2, 1) in transformed cloud"
 
 
 def test_lemma_l3_fails_without_the_survivor():
-    assert _l3_after(OneForm(Y, Y)).status == "fail"
+    assert _lemmas_after(OneForm(Y, Y)).l3.status == "fail"
+
+
+def test_lemma_l1_fails_on_a_row_0_point_at_tau():
+    # a = x^2 puts the row-0 point (2, 0) exactly at tau = 2
+    l1 = _lemmas_after(OneForm(X**2, PuiseuxPoly())).l1
+    assert l1 == ("fail", "min boundary abscissa 2 vs tau 2")
+
+
+def test_lemma_l2_fails_on_a_next_contact_level_with_p():
+    # b = y^3 and a = x^2*y^2 give the side (-1, 4)-(2, 2) of co-slope 3/2,
+    # and the line of co-slope 2 touches (2, 2), level with P
+    l2 = _lemmas_after(OneForm(X**2 * Y**2, Y**3)).l2
+    assert l2 == ("fail", "next contact height 2 vs previous 2")
 
 
 def test_lemma_report_never_raises_on_failure_shapes():

@@ -13,8 +13,10 @@ from puiseuxform import (
     cloud,
     multiplicity,
     newton_polygon,
+    order,
     polygon_of,
     support,
+    transform_form,
     y_order,
 )
 from puiseuxform.polygon import cloud_pair
@@ -124,6 +126,22 @@ def test_y_order_values():
     assert y_order(CUSP) == 2
     assert y_order(OneForm(Y, -X)) == 1
     assert y_order(OneForm(PuiseuxPoly(), Y**3)) == 4
+
+
+def test_y_order_of_the_zero_form_raises():
+    with pytest.raises(ValueError):
+        y_order(OneForm(PuiseuxPoly(), PuiseuxPoly()))
+
+
+def test_a_cloud_left_of_minus_one():
+    # x^-2*y dx puts the cloud point (-2, 1) left of i = -1: polygon_of
+    # refuses it, while multiplicity reads the lowest-degree terms
+    w = OneForm(poly_from_pairs([(-2, 1, 1)]), PuiseuxPoly())
+    with pytest.raises(MalformedFormError):
+        polygon_of(w)
+    with pytest.raises(MalformedFormError):
+        y_order(w)
+    assert multiplicity(w) == 0
 
 
 def test_multiplicity_values():
@@ -271,6 +289,53 @@ def test_support_of_a_ramified_form_is_the_argmin_over_its_cloud(a, b, mu):
     assert type(con.tau) is Fraction and con.tau == tau
     assert con.points == tuple(p for p, h in zip(points, heights) if h == tau)
     assert con.highest == con.points[0]
+
+
+ramified_forms = st.builds(OneForm, ramified_terms, ramified_terms)
+# a node's form: the shift y -> c*x^mu + y of a ramified form
+shifted_forms = st.builds(
+    transform_form,
+    ramified_forms,
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.fractions(min_value=1, max_value=3, max_denominator=4),
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(ramified_forms, shifted_forms))
+def test_y_order_is_the_highest_contact_of_the_coslope_1_line(w):
+    if _well_formed_cloud(w) is None:
+        return
+    assert y_order(w) == support(polygon_of(w), Fraction(1)).highest.j
+
+
+# integer exponents -2..5: a negative one puts a point left of i = -1
+signed_terms = st.dictionaries(
+    st.tuples(st.integers(-2, 5), st.integers(0, 4)), st.integers(-3, 3), max_size=8
+).map(PuiseuxPoly)
+
+
+@settings(deadline=None)
+@given(signed_terms, signed_terms)
+def test_multiplicity_is_the_least_order_plus_one(a, b):
+    if a.is_zero() and b.is_zero():
+        return
+    assert multiplicity(OneForm(a, b)) == min(order(a), order(b)) + 1
+
+
+@settings(deadline=None)
+@given(terms, terms)
+def test_y_order_reaches_multiplicity_exactly_when_b_has_y_to_the_nu(a, b):
+    # the highest point of least degree nu is (-1, nu + 1) exactly when b
+    # has y^nu; with exponents >= 0 every other one is lower
+    w = OneForm(a, b)
+    if a.is_zero() and b.is_zero():
+        return
+    m = multiplicity(w)
+    if b.coeff(0, m - 1):
+        assert y_order(w) == m
+    else:
+        assert y_order(w) < m
 
 
 # abscissas with denominators 1..7: one over 7 is on no grid these forms use
