@@ -105,7 +105,7 @@ class Limits(NamedTuple):
 class TraceStep(NamedTuple):
     step: BranchStep
     form_after: OneForm
-    polygon_after: NewtonPolygon  # polygon_of(form_after), built by the search
+    polygon_after: NewtonPolygon  # polygon_of(form_after), from admissible_steps
 
 
 class ExpansionResult(NamedTuple):
@@ -238,6 +238,7 @@ def rational_roots(coeffs) -> tuple[Fraction, ...]:
 class StepEnumeration(NamedTuple):
     """The candidate steps at one search node, and why others were dropped."""
 
+    polygon: NewtonPolygon  # the node's polygon, polygon_of(w)
     steps: list[BranchStep]
     pruned: list[str]  # candidates cut by limits
     dead: list[str]  # sides whose characteristic polynomial has no rational root
@@ -248,7 +249,6 @@ def admissible_steps(
     q_before: int = 1,
     after: Fraction | None = None,
     limits: Limits | None = None,
-    np: NewtonPolygon | None = None,
 ) -> StepEnumeration:
     """Candidate steps ``(mu, c)`` at the current stage, ordered by (mu, c).
 
@@ -257,14 +257,13 @@ def admissible_steps(
     rational roots of their characteristic polynomial, or the nonzero
     sampled coefficients when dicritical; eligible vertices contribute
     dicritical steps.  Each step keeps the support contact it was taken on.
-    Steps beyond the limits are pruned.  The returned enumeration also notes the
-    pruned candidates and the rational dead ends.  ``np`` is the polygon of
-    ``w`` when the caller already holds it.
+    Steps beyond the limits are pruned.  The returned enumeration holds the
+    polygon of ``w``, and notes the pruned candidates and the rational dead ends.
     """
     if after is not None and after < 1:
         raise ValueError("after must be >= 1")
     limits = limits or Limits()
-    np = np if np is not None else polygon_of(w)
+    np = polygon_of(w)
 
     # A side offers its co-slope.  A vertex (i, j) offers the single
     # co-slope solving a_ij + mu*b_(i+1)(j-1) = 0, provided that co-slope
@@ -315,7 +314,7 @@ def admissible_steps(
         note = "step mu=%s pruned: %s" % (rat_str(step.mu), why)
         if note not in pruned:
             pruned.append(note)
-    return StepEnumeration(steps, pruned, dead)
+    return StepEnumeration(np, steps, pruned, dead)
 
 
 def series_text(steps) -> str:
@@ -362,12 +361,11 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
     stack = [((), None, w)]
     while stack and not capped:
         trace, step, form = stack.pop()
-        np = polygon_of(form)
-        if step is not None:
-            trace += (TraceStep(step, form, np),)
-        steps = tuple(e.step for e in trace)
         q, after = (step.q_after, step.mu) if step else (1, None)
-        enum = admissible_steps(form, q, after, limits, np)
+        enum = admissible_steps(form, q, after, limits)
+        if step is not None:
+            trace += (TraceStep(step, form, enum.polygon),)
+        steps = tuple(e.step for e in trace)
         residual = _axis_order(form)
         exact = residual is INFINITY
         notes = enum.dead + enum.pruned

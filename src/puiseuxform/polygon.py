@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .algebra import INFINITY, OneForm, RatLike, _rescale, order
+from .algebra import OneForm, RatLike, _rescale
 
 
 class MalformedFormError(ValueError):
@@ -163,19 +163,19 @@ def cloud_pair(w: OneForm, i: Fraction, j: int) -> tuple[int, int]:
 
 
 def y_order(w: OneForm) -> int:
-    """Ordinate of the highest contact point of the co-slope-1 support line."""
-    return support(polygon_of(w), Fraction(1)).highest.j
+    """Ordinate of the highest cloud point of least ``i + j``.  No dominated
+    point is least, so it is the co-slope-1 support line's highest contact."""
+    points, d = _scan(w)
+    return min(points, key=lambda p: (p[0] + d * p[1], -p[1]))[1]
 
 
 def multiplicity(w: OneForm) -> int:
-    """``min(order(a), order(b)) + 1`` for a form with integer exponents."""
-    orders = []
+    """The least ``i + j`` over the cloud plus 1, ``min(order(a), order(b)) + 1``,
+    for a form with integer exponents."""
     for p in (w.a, w.b):
         if any(n % p.d for n, _ey in p.grid):
             raise ValueError("multiplicity requires integer exponents")
-        o = order(p)
-        if o is not INFINITY:
-            orders.append(o)
-    if not orders:
+    if w.a.is_zero() and w.b.is_zero():
         raise ValueError("the zero form has no multiplicity")
-    return int(min(orders)) + 1
+    points, d = _scan(w)
+    return min(n + d * j for n, j in points) // d + 1

@@ -5,11 +5,12 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from puiseuxform import Limits
+from puiseuxform import Limits, expansion, polygon
 from puiseuxform.cli.main import _VALUE_FLAGS, _limits, _normalize_argv, build_arg_parser, run
 from puiseuxform.oracle import MAX_GEN_RAMIFICATION, _validate_signature
 
@@ -619,6 +620,27 @@ def test_rational_flag_notations_keep_working(value, limit, capsys):
 
 def test_the_arg_parser_is_built_once():
     assert build_arg_parser() is build_arg_parser()
+
+
+@pytest.mark.parametrize("command", ["polygon", "verify", "check-lemmas"])
+def test_one_polygon_per_search_node(command, monkeypatch, capsys):
+    # the y-order is read off the cloud, so polygon builds the root polygon
+    # once, and a search builds one polygon per node, in admissible_steps
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polygon, "_polygon", counted("built", polygon._polygon))
+    monkeypatch.setattr(expansion, "admissible_steps",
+                        counted("nodes", expansion.admissible_steps))
+    assert run([command, "--a", "-3*x^2", "--b", "2*y", "--json"]) == 0
+    capsys.readouterr()
+    assert calls["built"] == (1 if command == "polygon" else calls["nodes"])
+    assert calls["nodes"] == (0 if command == "polygon" else 3)
 
 
 EULER = ["verify", "--a", "x - y", "--b", "x^2", "--json"]  # truncated at --max-exp
