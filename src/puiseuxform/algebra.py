@@ -12,6 +12,7 @@ read-only ``Fraction`` view; a :class:`OneForm` is ``a(x, y) dx + b(x, y) dy``.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Hashable, Iterable, NamedTuple, Tuple, Union
@@ -22,11 +23,16 @@ _ZERO = Fraction(0)
 
 
 def rat_str(value: RatLike) -> str:
-    """Render a rational as ``"p"`` or ``"p/q"`` (reduced; ``"0"`` for zero)."""
+    """Render a rational as ``"p"`` or ``"p/q"`` (reduced; ``"0"`` for zero); a
+    part past ``sys.get_int_max_str_digits()`` digits is a ``ValueError``."""
     f = value if isinstance(value, (int, Fraction)) else Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return "%d/%d" % (f.numerator, f.denominator)
+    except ValueError:  # the interpreter's int -> str limit
+        raise ValueError("cannot render a number of more than %d digits"
+                         % sys.get_int_max_str_digits()) from None
 
 
 def power_text(var: str, e: RatLike) -> str:

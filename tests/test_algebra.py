@@ -1,4 +1,5 @@
 import math
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -39,6 +40,20 @@ def test_rat_str_forms():
     assert rat_str(2) == "2"
     assert rat_str(Fraction(0)) == "0"
     assert rat_str(Fraction(4, 2)) == "2"
+
+
+def test_rat_str_refuses_a_part_past_the_digit_limit():
+    # the interpreter converts ints of at most this many digits to text
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no int -> str digit limit is set")
+    widest = 10**limit - 1
+    assert rat_str(-widest) == "-" + "9" * limit  # the sign is no digit
+    assert rat_str(Fraction(1, widest)) == "1/" + "9" * limit
+    err = "^cannot render a number of more than %d digits$" % limit
+    for value in (10**limit, -(10**limit), Fraction(1, 10**limit), Fraction(10**limit, 3)):
+        with pytest.raises(ValueError, match=err):
+            rat_str(value)
 
 
 def test_infinity_sentinel_ordering():

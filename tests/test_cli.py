@@ -456,6 +456,18 @@ def test_parses_beyond_the_work_or_bit_budget_exit_2(a, b, err, capsys):
     assert capsys.readouterr() == ("", "error: %s\n" % err)
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["verify", "expand", "check-lemmas"])
+def test_a_number_past_the_digit_limit_exits_2(command, json_flag, capsys):
+    # Euler's form: the note at the step to x^1601 renders the series up to
+    # 1599! x^1600, and 1599! has 4431 digits (1499! at --max-exp 1500 has 4112)
+    argv = [command, "--a", "x - y", "--b", "x^2", "--max-exp", "1600", *json_flag]
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr() == ("", "error: cannot render a number of more than 4300 digits\n")
+
+
 @pytest.mark.parametrize("command", ["expand", "verify", "check-lemmas"])
 def test_flagless_limits_are_the_library_defaults(command):
     assert _limits(build_arg_parser().parse_args([command])) == Limits()

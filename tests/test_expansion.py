@@ -496,6 +496,14 @@ def test_lemma_report_never_raises_on_failure_shapes():
     assert not entry.ok
 
 
+def test_a_note_past_the_digit_limit_raises_the_render_error():
+    # Euler's form (x - y) dx + x^2 dy: the step to x^n takes c = (n-1)!, and
+    # the last note's series ends in 1599! x^1600, of 4431 digits
+    w = OneForm(X - Y, X**2)
+    with pytest.raises(ValueError, match="^cannot render a number of more than 4300 digits$"):
+        expand_branches(w, Limits(max_exponent=Fraction(1600)))
+
+
 def test_verify_bound_tight_cases():
     # r = y-order on the vertex-characteristic fixture
     res = expand_branches(VERTEX_CHAR)
