@@ -19,7 +19,9 @@ forms are the 104 planted corpus forms (``STANDARD_SIGNATURES`` x seeds
   SVG bytes; the temporary SVG path is masked in the argv and stdout.
 * ``inputs``: ``polygon`` and ``verify`` on hostile or edge input: huge
   coefficients and sums with and without parentheses, support lines and
-  clouds too wide to draw, deep parentheses and an over-long literal.
+  clouds too wide to draw, deep parentheses, an over-long literal, and
+  Euler's form at ``--max-exp=1600``, whose series has a coefficient past
+  the interpreter's int -> str digit limit.
 
 An exception that escapes ``run()`` is recorded in place of the exit code
 and the output, as its type name and message, so a commit at which some
@@ -84,6 +86,8 @@ INPUTS = [
     ["polygon", "--a=" + "(" * 1000 + "x" + ")" * 1000, "--b=y"],
     ["verify", "--a=" + "(" * 200 + "x*y" + ")" * 200, "--b=y"],
     ["polygon", "--a=x^" + "1" * 5000, "--b=y"],
+    *([*cmd, "--a=x - y", "--b=x^2", "--max-exp=1600"]
+      for cmd in (["verify"], ["expand", "--json"], ["check-lemmas"])),
 ]
 
 
