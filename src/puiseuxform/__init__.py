@@ -16,7 +16,6 @@ from .algebra import (
     differential,
     order,
     rat_str,
-    substitute_shift,
     transform_form,
 )
 from .expansion import (
@@ -52,7 +51,6 @@ from .polygon import (
     SupportContact,
     cloud,
     multiplicity,
-    newton_polygon,
     polygon_of,
     support,
     y_order,
@@ -67,7 +65,6 @@ __all__ = [
     "differential",
     "order",
     "rat_str",
-    "substitute_shift",
     "transform_form",
     "BoundReport",
     "BranchStep",
@@ -97,7 +94,6 @@ __all__ = [
     "SupportContact",
     "cloud",
     "multiplicity",
-    "newton_polygon",
     "polygon_of",
     "support",
     "y_order",

@@ -22,10 +22,21 @@ RatLike = Union[int, str, Fraction]
 _ZERO = Fraction(0)
 
 
+def _rational(value: RatLike) -> int | Fraction:
+    """The one reader of a rational argument: an int or a ``Fraction`` as it is,
+    a float a ``ValueError`` (it is not exact), anything else ``Fraction(value)``,
+    so ``"p/q"`` strings are read exactly."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, float):
+        raise ValueError("floats are not exact: %r" % value)
+    return Fraction(value)
+
+
 def rat_str(value: RatLike) -> str:
     """Render a rational as ``"p"`` or ``"p/q"`` (reduced; ``"0"`` for zero); a
     part past ``sys.get_int_max_str_digits()`` digits is a ``ValueError``."""
-    f = value if isinstance(value, (int, Fraction)) else Fraction(value)
+    f = _rational(value)
     try:
         if f.denominator == 1:
             return str(f.numerator)
@@ -37,7 +48,7 @@ def rat_str(value: RatLike) -> str:
 
 def power_text(var: str, e: RatLike) -> str:
     """Render ``var**e``: ``""`` for e = 0, else ``x``, ``x^2`` or ``x^(3/2)``."""
-    e = e if isinstance(e, (int, Fraction)) else Fraction(e)
+    e = _rational(e)
     if e.denominator > 1:
         return "%s^(%s)" % (var, rat_str(e))
     return "" if e == 0 else var if e == 1 else "%s^%d" % (var, e)
@@ -112,13 +123,11 @@ class PuiseuxPoly:
         integers, raise ``ValueError``; zero coefficients are dropped."""
         pairs = []
         for (ex, ey), coeff in (terms or {}).items():
-            if any(isinstance(v, float) for v in (ex, ey, coeff)):
-                raise ValueError("floats are not exact: %r" % ({(ex, ey): coeff},))
-            ey, c = Fraction(ey), Fraction(coeff)
+            ex, ey, c = _rational(ex), _rational(ey), _rational(coeff)
             if ey.denominator != 1 or ey < 0:
                 raise ValueError("y-exponents must be nonnegative integers: %s" % ey)
             if c:
-                pairs.append(((Fraction(ex), int(ey)), c))
+                pairs.append(((ex, int(ey)), c))
         terms = _sum_terms(pairs)
         self.d = d = math.lcm(*(ex.denominator for ex, _ey in terms))
         self.den = den = math.lcm(*(c.denominator for c in terms.values()))
@@ -148,9 +157,7 @@ class PuiseuxPoly:
 
         A ``"p/q"`` string finds its term; a float raises ``ValueError``.
         """
-        if isinstance(ex, float):
-            raise ValueError("floats are not exact: %r" % ex)
-        return self.terms.get((Fraction(ex) if isinstance(ex, str) else ex, ey), _ZERO)
+        return self.terms.get((_rational(ex), ey), _ZERO)
 
     def items(self) -> tuple[tuple[TermKey, Fraction], ...]:
         """Terms sorted by ``(ex, ey)`` — the deterministic iteration order."""
@@ -288,7 +295,7 @@ def _sum_terms(pairs: Iterable[tuple[Hashable, Fraction | int]],
 
     Keys are grid keys ``(int, int)`` with nonzero int numerators, as in
     :func:`_sum` and :func:`transform_form`, or the constructor's
-    ``(Fraction, int >= 0)`` terms with nonzero ``Fraction``s; any exact
+    ``(rational, int >= 0)`` terms with nonzero rationals; any exact
     number type sums the same way.
     """
     acc = {} if acc is None else acc
@@ -344,27 +351,15 @@ def _to_grid(*polys: PuiseuxPoly) -> tuple:
     return d, den, *[_rescale(p.grid, d // p.d, den // p.den) for p in polys]
 
 
-def substitute_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
-    """``p(x, c*x**mu + y)``, expanded binomially, exactly.
-
-    ``mu`` must be at least 1.  ``c = 0`` returns ``p`` unchanged.
-    """
-    c = Fraction(c)
-    mu = Fraction(mu)
-    if mu < 1:
-        raise ValueError("shift exponent mu must be >= 1")
-    if c == 0:
-        return p
-    return transform_form(OneForm(p, PuiseuxPoly()), c, mu).a  # b = 0 adds nothing to a'
-
-
 def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
     """The form after the coordinate change ``y -> c*x**mu + y``.
 
     Substituting into ``a dx + b dy`` and using ``d(c x^mu) = mu c x^(mu-1) dx``
     gives ``a' = a(x, c x^mu + y) + mu c x^(mu-1) b(x, c x^mu + y)`` and
     ``b' = b(x, c x^mu + y)``.  ``c = 0`` returns ``w``; otherwise ``mu``
-    must be at least 1.  The search and the residual replay both chain it.
+    must be at least 1.  The search and the residual replay both chain it,
+    and ``transform_form(OneForm(p, PuiseuxPoly()), c, mu).a`` is
+    ``p(x, c x^mu + y)``, expanded binomially.
 
     ``a`` and ``b`` go on one grid (a form this made is on one already, so
     nothing is copied) and their content ``gcd(den, *numerators)`` is divided
@@ -373,8 +368,7 @@ def transform_form(w: OneForm, c: RatLike, mu: RatLike) -> OneForm:
     y-exponent, each row factor ``C(ey, l) * c**l`` is the int
     ``C(ey, l) * p**l * q**(top-l)``; both results share ``d`` and ``den``.
     """
-    c = Fraction(c)
-    mu = Fraction(mu)
+    c, mu = _rational(c), _rational(mu)
     if c == 0:
         return w
     if mu < 1:

@@ -30,6 +30,7 @@ from typing import NamedTuple
 from .algebra import (
     INFINITY,
     OneForm,
+    _rational,
     power_text,
     rat_str,
     signed_sum,
@@ -199,8 +200,7 @@ def rational_roots(coeffs) -> tuple[Fraction, ...]:
     the candidate ``n/lead`` is kept only when ``sum a_i n^i lead^(k-i)``,
     ``k`` the degree, is 0.  The cost is polynomial in the number of digits.
     """
-    pairs = [(int(j), c if isinstance(c, (int, Fraction)) else Fraction(c))
-             for j, c in coeffs if c != 0]
+    pairs = [(int(j), _rational(c)) for j, c in coeffs if c != 0]
     if not pairs:
         raise ValueError("the zero polynomial has every root")
     jmin = min(j for j, _ in pairs)
@@ -289,7 +289,7 @@ def admissible_steps(
         contact = support(np, mu)
         phi = characteristic_poly(w, contact)
         if not phi:
-            cands += [BranchStep(mu, Fraction(c), q_before, contact, True)
+            cands += [BranchStep(mu, _rational(c), q_before, contact, True)
                       for c in limits.dicritical_samples if c]
         elif roots := rational_roots(phi):
             cands += [BranchStep(mu, c, q_before, contact, False) for c in roots]

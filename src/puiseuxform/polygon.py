@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .algebra import OneForm, RatLike, _rescale
+from .algebra import OneForm, RatLike, _rational, _rescale
 
 
 class MalformedFormError(ValueError):
@@ -58,7 +58,12 @@ class NewtonPolygon(NamedTuple):
     of (one per row at most, by increasing abscissa), and its hull.  For
     ``mu > 0`` a point below-left of ``(i, j)`` is lower on ``i + mu*j``, so
     a dominated point is never in an argmin: every vertex, side and support
-    contact comes from the staircase (Walker, *Algebraic Curves*, ch. IV)."""
+    contact comes from the staircase (Walker, *Algebraic Curves*, ch. IV).
+
+    Vertices come with strictly increasing abscissa and strictly decreasing
+    ordinate, and side co-slopes strictly increase left to right.  Cloud
+    points interior to a side are not vertices; they reappear in support
+    contacts."""
 
     staircase: tuple[CloudPoint, ...]
     vertices: tuple[CloudPoint, ...]
@@ -101,19 +106,6 @@ def _polygon(points: Iterable[tuple[int, int]], d: int) -> NewtonPolygon:
     return NewtonPolygon(tuple(point.values()), tuple(point[v] for v in hull), sides)
 
 
-def newton_polygon(points: Iterable[CloudPoint | tuple[RatLike, int]]) -> NewtonPolygon:
-    """Lower-left boundary of the convex envelope of ``points + R>=0^2``.
-
-    Each ``i`` is read as a rational, ``"p/q"`` included.  Vertices come out
-    with strictly increasing abscissa and strictly decreasing ordinate; side
-    co-slopes strictly increase left to right.  Cloud points interior to a
-    side are not vertices (they reappear in support contacts).
-    """
-    pts = [(Fraction(i), int(j)) for i, j in points]
-    d = math.lcm(*(i.denominator for i, _j in pts))
-    return _polygon(((i.numerator * (d // i.denominator), j) for i, j in pts), d)
-
-
 def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
     """Contact of the support line of co-slope ``mu > 0`` with the polygon.
 
@@ -121,7 +113,7 @@ def support(np: NewtonPolygon, mu: RatLike) -> SupportContact:
     heights ``i + mu*j`` are compared as the ints ``L*b*(i + mu*j)``; only
     ``tau`` becomes a ``Fraction``.
     """
-    mu = mu if isinstance(mu, Fraction) else Fraction(mu)
+    mu = _rational(mu)
     if mu <= 0:
         raise ValueError("support queries require mu > 0")
     b, stair = mu.denominator, np.staircase

@@ -10,7 +10,8 @@ agreement between the two is meaningful:
 * ``eval_ramified`` evaluates a polynomial at a point of the ramified
   grid, so identities can be checked numerically.
 * ``poly_from_pairs`` builds a polynomial from ``(ex, ey, coeff)`` triples.
-* ``binomial_shift`` is the per-term form of ``substitute_shift``: it
+* ``binomial_shift`` is the per-term form of ``p(x, c*x**mu + y)``, the
+  ``a`` of ``transform_form(OneForm(p, PuiseuxPoly()), c, mu)``: it
   evaluates ``C(ey, l) * c**l`` and ``ex + mu*l`` for every term and every
   ``l``, with ``Fraction`` exponents, where the pipeline shifts once on an
   integer exponent grid.

@@ -29,11 +29,10 @@ from puiseuxform import (
     gen_case,
     lemma_checks,
     multiplicity,
-    newton_polygon,
     polygon_of,
     series_text,
-    substitute_shift,
     support,
+    transform_form,
     verify_bound,
     y_order,
 )
@@ -207,7 +206,7 @@ def test_criterion_5_hull_oracle_equivalence(capsys):
             den = rng.choice([1, 2, 3])
             num = rng.randint(-den, 8 * den)
             points.append((Fraction(num, den), rng.randint(0, 8)))
-        np = newton_polygon([CloudPoint(i, j) for i, j in points])
+        np = polygon_of(OneForm(PuiseuxPoly(dict.fromkeys(points, 1)), PuiseuxPoly()))
         vertices, coslopes = brute_hull(points)
         if np.vertices != vertices or tuple(s.coslope for s in np.sides) != coslopes:
             mismatches += 1
@@ -238,7 +237,7 @@ def test_criterion_6_substitution_identity(capsys):
         t0 = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         y0 = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
 
-        shifted = substitute_shift(p, c, mu)
+        shifted = transform_form(OneForm(p, PuiseuxPoly()), c, mu).a
         ram = math.lcm(mu.denominator, *(ex.denominator for (ex, _ey) in p.terms))
         lhs = eval_ramified(shifted, t0, y0, ram)
         rhs = eval_ramified(p, t0, c * t0 ** int(mu * ram) + y0, ram)

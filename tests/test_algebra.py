@@ -19,12 +19,14 @@ from puiseuxform import (
     lemma_checks,
     multiplicity,
     order,
+    polygon_of,
     rat_str,
-    substitute_shift,
+    rational_roots,
+    support,
     transform_form,
     y_order,
 )
-from puiseuxform.algebra import _record, _to_grid
+from puiseuxform.algebra import _record, _to_grid, power_text
 from puiseuxform.cli.parser import parse_poly, poly_to_text
 from reference import (
     binomial_shift, eval_ramified, poly_from_pairs, substituted_residual, term_product,
@@ -32,6 +34,11 @@ from reference import (
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
+
+
+def substituted(p, c, mu):
+    """``p(x, c*x**mu + y)``: the dx coefficient of ``p dx`` after the shift."""
+    return transform_form(OneForm(p, PuiseuxPoly()), c, mu).a
 
 
 def test_rat_str_forms():
@@ -90,6 +97,35 @@ def test_poly_coeff_reads_strings_and_refuses_floats():
     assert p.coeff("1/2", 1) == 0
     with pytest.raises(ValueError):
         p.coeff(1.5, 1)  # 1.5 == 3/2: a plain lookup would find the term
+
+
+def test_the_rational_reader_keeps_exact_input_and_refuses_floats():
+    from puiseuxform.algebra import _rational
+
+    half, big = Fraction(1, 2), 10**40
+    assert _rational(half) is half and _rational(big) is big  # no Fraction call
+    assert _rational("3/2") == Fraction(3, 2) and _rational("-7") == -7
+    with pytest.raises(ValueError, match=r"^floats are not exact: 0\.5$"):
+        _rational(0.5)
+
+
+CUSP_FORM = OneForm(-3 * X**2, 2 * Y)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rat_str(0.1),  # rendered 3602879701896397/36028797018963968
+    lambda: power_text("x", 0.1),
+    lambda: transform_form(CUSP_FORM, 0.1, Fraction(3, 2)),  # a 34-digit denominator
+    lambda: transform_form(CUSP_FORM, 1, 1.5),
+    lambda: support(polygon_of(CUSP_FORM), 0.1),
+    lambda: rational_roots([(1, 1), (0, -0.1)]),
+    lambda: PuiseuxPoly({(1, 1): 0.1}),
+    lambda: X.coeff(0.1, 0),
+], ids=["rat_str", "power_text", "transform_form c", "transform_form mu", "support",
+        "rational_roots", "PuiseuxPoly", "coeff"])
+def test_every_rational_argument_refuses_floats(call):
+    with pytest.raises(ValueError, match="floats are not exact: "):
+        call()
 
 
 @pytest.mark.parametrize("terms", [
@@ -194,7 +230,7 @@ def test_order_values():
 def test_substitute_shift_frozen_example():
     # y^2 under y -> x^(3/2) + y
     p = Y**2
-    q = substitute_shift(p, 1, Fraction(3, 2))
+    q = substituted(p, 1, Fraction(3, 2))
     expected = poly_from_pairs(
         [(3, 0, 1), (Fraction(3, 2), 1, 2), (0, 2, 1)]
     )
@@ -203,12 +239,12 @@ def test_substitute_shift_frozen_example():
 
 def test_substitute_shift_zero_coefficient_is_identity():
     p = Y**2 + X
-    assert substitute_shift(p, 0, Fraction(3, 2)) == p
+    assert substituted(p, 0, Fraction(3, 2)) == p
 
 
 def test_substitute_shift_rejects_small_mu():
     with pytest.raises(ValueError):
-        substitute_shift(Y, 1, Fraction(1, 2))
+        substituted(Y, 1, Fraction(1, 2))
 
 
 def test_transform_form_cusp_step():
@@ -225,7 +261,7 @@ def test_transform_form_guard_order():
         transform_form(w, 1, Fraction(1, 2))
     a = Y**2 + X
     w2 = transform_form(OneForm(a, PuiseuxPoly()), 2, Fraction(3, 2))
-    assert w2 == (substitute_shift(a, 2, Fraction(3, 2)), PuiseuxPoly())
+    assert w2 == (substituted(a, 2, Fraction(3, 2)), PuiseuxPoly())
 
 
 def test_differential_of_cusp_curve():
@@ -307,7 +343,7 @@ def test_order_is_multiplicative(p, q):
 )
 def test_shift_substitution_matches_evaluation(p, c, mu, pt):
     t0, y0 = pt
-    shifted = substitute_shift(p, c, mu)
+    shifted = substituted(p, c, mu)
     ram = _grid(p, mu=mu)
     lhs = eval_ramified(shifted, t0, y0, ram)
     rhs = eval_ramified(p, t0, c * t0 ** int(mu * ram) + y0, ram)
@@ -338,7 +374,7 @@ def test_arithmetic_keeps_the_term_invariant_and_evaluates(p, q, n, c, mu, pt):
     qv = eval_ramified(q, t0, y0, ram)
     shift = c * t0 ** int(mu * ram)  # c*x^mu at x = t0**ram
     w = transform_form(OneForm(p, q), c, mu)
-    composed = substitute_shift(p, c, mu) + substitute_shift(q, c, mu) * (
+    composed = substituted(p, c, mu) + substituted(q, c, mu) * (
         PuiseuxPoly.monomial(mu * c, mu - 1))
     results = [
         (p + q, pv + qv),
@@ -346,7 +382,7 @@ def test_arithmetic_keeps_the_term_invariant_and_evaluates(p, q, n, c, mu, pt):
         (-p, -pv),
         (p * q, pv * qv),
         (p**n, pv**n),
-        (substitute_shift(p, c, mu), eval_ramified(p, t0, shift + y0, ram)),
+        (substituted(p, c, mu), eval_ramified(p, t0, shift + y0, ram)),
         (w.b, eval_ramified(q, t0, shift + y0, ram)),
         (w.a, eval_ramified(p, t0, shift + y0, ram)
          + mu * c * t0 ** int((mu - 1) * ram) * eval_ramified(q, t0, shift + y0, ram)),
@@ -392,7 +428,7 @@ def test_grid_shift_equals_per_term_shift(p, q, c, mu, how):
         p, q = binomial_shift(p, -c, mu), binomial_shift(q, -c, mu)
     elif how == "a' cancels":  # a = -mu c x^(mu-1) b makes a' zero
         p = -(q * PuiseuxPoly.monomial(mu * c, mu - 1))
-    shifted = substitute_shift(p, c, mu)
+    shifted = substituted(p, c, mu)
     assert shifted.terms == binomial_shift(p, c, mu).terms
     assert _keeps_term_invariant(shifted)
     w = transform_form(OneForm(p, q), c, mu)
@@ -510,7 +546,7 @@ def test_routes_to_one_poly_compare_equal(p, s, k, c, mu):
         ((ex, ey), v), = p.items()
         assert _same((p * HALF) ** 2, PuiseuxPoly({(2 * ex + 1, 2 * ey): v * v}))
     assert dict((p * s).terms) == dict(term_product(p, s).terms)
-    assert dict(substitute_shift(p, c, mu).terms) == dict(binomial_shift(p, c, mu).terms)
+    assert dict(substituted(p, c, mu).terms) == dict(binomial_shift(p, c, mu).terms)
 
 
 @settings(deadline=None)
@@ -607,7 +643,7 @@ def test_no_operation_writes_into_a_grid_it_is_handed():
 
     def results():
         return [r.items() for r in (p + q, q + p, p - q, q - p, -p, p * q, p**3, p.diff_x(),
-                                     p.diff_y(), substitute_shift(p, 2, 2))]
+                                     p.diff_y(), substituted(p, 2, 2))]
 
     first = results()
     w = OneForm(p, q)

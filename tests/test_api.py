@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import puiseuxform
-from puiseuxform import algebra, expansion, oracle
+from puiseuxform import algebra, expansion, oracle, polygon
 
 MOVED_TO_REFERENCE = (
     "CharPoly",
@@ -18,6 +18,8 @@ MOVED_TO_REFERENCE = (
     "poly_from_pairs",
     "substituted_residual",
 )
+
+CUSP = puiseuxform.differential(puiseuxform.PuiseuxPoly({(0, 2): 1, (3, 0): -1}))
 
 
 def test_star_import_succeeds():
@@ -36,13 +38,22 @@ def test_test_only_code_is_not_shipped(module):
     assert [name for name in MOVED_TO_REFERENCE if hasattr(module, name)] == []
 
 
+@pytest.mark.parametrize("module, name", [
+    (algebra, "substitute_shift"),  # transform_form's a of the form p dx
+    (polygon, "newton_polygon"),  # polygon_of the form with one a term per point
+])
+def test_one_entry_per_job(module, name):
+    assert not hasattr(module, name)
+    assert not hasattr(puiseuxform, name) and name not in puiseuxform.__all__
+
+
 @pytest.mark.parametrize(
     "record, field",
     [
         (puiseuxform.PuiseuxBranch((), 2), "residual"),
         (puiseuxform.BranchStep(Fraction(3, 2), Fraction(1), 1, None, False), "c"),
         (puiseuxform.Limits(), "max_ramification"),
-        (puiseuxform.newton_polygon([(2, 0), (-1, 2)]), "sides"),
+        (puiseuxform.polygon_of(CUSP), "sides"),
         (puiseuxform.OneForm(puiseuxform.PuiseuxPoly(), puiseuxform.PuiseuxPoly()), "a"),
     ],
 )

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from puiseuxform import (
     INFINITY,
+    OneForm,
     PuiseuxPoly,
     STANDARD_SIGNATURES,
     branch_to_curve,
     expand_branches,
     gen_case,
-    newton_polygon,
     order,
+    polygon_of,
 )
 from reference import brute_hull, eval_ramified, substituted_residual
 
@@ -196,7 +197,7 @@ def test_hull_matches_brute_force(points):
     from puiseuxform import CloudPoint
 
     pts = tuple(CloudPoint(Fraction(i), j) for i, j in points)
-    np = newton_polygon(pts)
+    np = polygon_of(OneForm(PuiseuxPoly(dict.fromkeys(pts, 1)), PuiseuxPoly()))
     vertices, coslopes = brute_hull(points)
     assert np.vertices == vertices
     assert tuple(s.coslope for s in np.sides) == coslopes

@@ -12,7 +12,6 @@ from puiseuxform import (
     PuiseuxPoly,
     cloud,
     multiplicity,
-    newton_polygon,
     order,
     polygon_of,
     support,
@@ -26,6 +25,11 @@ X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
 
 CUSP = OneForm(-3 * X**2, 2 * Y)
+
+
+def polygon_of_points(points):
+    """The polygon of the form whose dx coefficient has one term per point."""
+    return polygon_of(OneForm(PuiseuxPoly(dict.fromkeys(points, 1)), PuiseuxPoly()))
 
 
 def pts(*pairs):
@@ -53,8 +57,8 @@ def test_staircase_drops_dominated_points_but_cloud_keeps_them():
 
 def test_newton_polygon_reads_abscissas_as_rationals():
     # compared as strings, "10" would sort before "9"
-    assert newton_polygon([("10", 0), ("9", 0)]).vertices == pts((9, 0))
-    np = newton_polygon(
+    assert polygon_of_points([("10", 0), ("9", 0)]).vertices == pts((9, 0))
+    np = polygon_of_points(
         [("1/2", 3), (2, 1), (Fraction(3, 2), 1), ("10", 0), (9, 0), ("3", 2)]
     )
     assert np.staircase == pts((Fraction(1, 2), 3), (Fraction(3, 2), 1), (9, 0))
@@ -66,7 +70,7 @@ def test_malformed_cloud_names_its_least_point():
     # the least abscissa, and the least ordinate among ties
     cloud_pts = [(-3, 2), ("-5/2", 0), (-3, 1), (Fraction(-2), 0), (0, 5)]
     with pytest.raises(MalformedFormError) as exc:
-        newton_polygon(cloud_pts)
+        polygon_of_points(cloud_pts)
     assert str(exc.value) == "cloud point (-3, 1) lies left of i = -1"
 
 
@@ -77,13 +81,13 @@ def test_cloud_rejects_abscissa_below_minus_one():
 
 
 def test_hull_drops_dominated_and_interior_points():
-    np = newton_polygon(pts((0, 3), (1, 1), (3, 0), (2, 2)))
+    np = polygon_of_points(pts((0, 3), (1, 1), (3, 0), (2, 2)))
     assert np.vertices == pts((0, 3), (1, 1), (3, 0))
     assert [s.coslope for s in np.sides] == [Fraction(1, 2), Fraction(2)]
 
 
 def test_hull_keeps_collinear_point_in_cloud_only():
-    np = newton_polygon(pts((0, 2), (1, 1), (2, 0)))
+    np = polygon_of_points(pts((0, 2), (1, 1), (2, 0)))
     assert np.vertices == pts((0, 2), (2, 0))
     assert len(np.sides) == 1
     assert np.sides[0].coslope == 1
@@ -94,7 +98,7 @@ def test_hull_keeps_collinear_point_in_cloud_only():
 
 
 def test_single_point_hull():
-    np = newton_polygon(pts((0, 1)))
+    np = polygon_of_points(pts((0, 1)))
     assert np.vertices == pts((0, 1))
     assert np.sides == ()
 
@@ -175,7 +179,7 @@ coslopes = st.fractions(min_value=1, max_value=5, max_denominator=4)
 @settings(deadline=None)
 @given(cloud_points, coslopes)
 def test_support_line_is_a_lower_bound(points, mu):
-    np = newton_polygon(points)
+    np = polygon_of_points(points)
     con = support(np, mu)
     values = [p.i + mu * p.j for p in points]
     assert con.tau == min(values)
@@ -220,7 +224,7 @@ def test_polygon_of_a_ramified_form_is_the_polygon_of_its_cloud(a, b):
     if a.is_zero() and b.is_zero():
         return
     try:
-        expected = newton_polygon(cloud(w))
+        expected = polygon_of_points(cloud(w))
     except MalformedFormError as e:
         with pytest.raises(MalformedFormError, match="^%s$" % re.escape(str(e))):
             polygon_of(w)
@@ -360,7 +364,7 @@ def test_cloud_pair_reads_the_two_terms_at_a_cloud_point(a, b, i, j):
 @settings(deadline=None)
 @given(cloud_points)
 def test_polygon_invariants(points):
-    np = newton_polygon(points)
+    np = polygon_of_points(points)
     assert set(np.vertices) <= set(np.staircase) <= set(points)
     # the staircase is exactly the undominated input points, by abscissa
     undominated = {
