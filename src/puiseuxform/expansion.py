@@ -95,12 +95,36 @@ class PuiseuxBranch(NamedTuple):
 
 
 class Limits(NamedTuple):
-    """Expansion cut-offs and the dicritical sampling policy."""
+    """Expansion cut-offs and the dicritical sampling policy.  ``expand_branches``
+    refuses what the CLI refuses: a limit below 1, no sample or a repeated one."""
 
     max_exponent: Fraction = Fraction(40)
     max_ramification: int = 16
     max_branches: int = 64
     dicritical_samples: tuple[Fraction, ...] = (Fraction(1),)
+
+
+def _read(field: str, value) -> int | Fraction:
+    try:
+        return _rational(value)
+    except ValueError as exc:
+        raise ValueError("Limits.%s: %s" % (field, exc)) from None
+
+
+def _checked(limits: Limits) -> Limits:
+    """``limits`` with its exponent and samples read exactly, or a
+    ``ValueError`` that names the field at fault."""
+    samples = tuple(_read("dicritical_samples", c) for c in limits.dicritical_samples)
+    if not samples:
+        raise ValueError("Limits.dicritical_samples must list at least one coefficient")
+    if len(set(samples)) != len(samples):
+        raise ValueError("Limits.dicritical_samples must not repeat a coefficient")
+    top = _read("max_exponent", limits.max_exponent)
+    for field, value in (("max_ramification", limits.max_ramification),
+                         ("max_branches", limits.max_branches), ("max_exponent", top)):
+        if value < 1:
+            raise ValueError("Limits.%s must be at least 1" % field)
+    return limits._replace(max_exponent=top, dicritical_samples=samples)
 
 
 class TraceStep(NamedTuple):
@@ -351,7 +375,7 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
     Output order is deterministic: children are explored by (mu, c)
     ascending.
     """
-    limits = limits or Limits()
+    limits = _checked(limits or Limits())
     _validate_expandable(w)
     result = ExpansionResult([], [], [])
     capped = False

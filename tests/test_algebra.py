@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from puiseuxform import (
     INFINITY,
     BranchStep,
+    Limits,
     OneForm,
     PuiseuxBranch,
     PuiseuxPoly,
@@ -121,8 +122,10 @@ CUSP_FORM = OneForm(-3 * X**2, 2 * Y)
     lambda: rational_roots([(1, 1), (0, -0.1)]),
     lambda: PuiseuxPoly({(1, 1): 0.1}),
     lambda: X.coeff(0.1, 0),
+    lambda: expand_branches(CUSP_FORM, Limits(max_exponent=1.4)),
+    lambda: expand_branches(OneForm(Y, -X), Limits(dicritical_samples=(0.5,))),
 ], ids=["rat_str", "power_text", "transform_form c", "transform_form mu", "support",
-        "rational_roots", "PuiseuxPoly", "coeff"])
+        "rational_roots", "PuiseuxPoly", "coeff", "max_exponent", "dicritical_samples"])
 def test_every_rational_argument_refuses_floats(call):
     with pytest.raises(ValueError, match="floats are not exact: "):
         call()

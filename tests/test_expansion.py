@@ -389,6 +389,37 @@ def test_expand_rejects_bad_input():
         expand_branches(OneForm(frac, Y))
 
 
+@pytest.mark.parametrize("form, limits, err", [
+    (CUSP, Limits(max_exponent=-5), "^Limits.max_exponent must be at least 1$"),
+    (CUSP, Limits(max_exponent=Fraction(1, 2)), "^Limits.max_exponent must be at least 1$"),
+    (CUSP, Limits(max_exponent=1.4), r"^Limits.max_exponent: floats are not exact: 1\.4$"),
+    (CUSP, Limits(max_ramification=0), "^Limits.max_ramification must be at least 1$"),
+    (CUSP, Limits(max_branches=0), "^Limits.max_branches must be at least 1$"),
+    (RADIAL, Limits(dicritical_samples=()),
+     "^Limits.dicritical_samples must list at least one coefficient$"),
+    (RADIAL, Limits(dicritical_samples=(1, 1)),
+     "^Limits.dicritical_samples must not repeat a coefficient$"),
+    (RADIAL, Limits(dicritical_samples=("1/2", Fraction(1, 2))),
+     "^Limits.dicritical_samples must not repeat a coefficient$"),
+    (RADIAL, Limits(dicritical_samples=(0.5,)),
+     r"^Limits.dicritical_samples: floats are not exact: 0\.5$"),
+], ids=["max_exponent -5", "max_exponent 1/2", "max_exponent float", "max_ramification 0",
+        "max_branches 0", "no sample", "samples 1, 1", "samples 1/2 twice", "sample float"])
+def test_expand_refuses_the_limits_the_cli_refuses(form, limits, err):
+    # each of these gave a "branch" y = 0 (or none) that verify_bound passed
+    with pytest.raises(ValueError, match=err):
+        expand_branches(form, limits)
+
+
+def test_limits_at_one_and_exact_text_limits_are_accepted():
+    assert expand_branches(CUSP, Limits(Fraction(1), 1, 1, (Fraction(-1),))).branches
+    # max_exponent and the samples are read exactly, "p/q" strings included
+    text = expand_branches(RADIAL, Limits("3/2", dicritical_samples=("1", "-2/3")))
+    exact = Limits(Fraction(3, 2), dicritical_samples=(1, Fraction(-2, 3)))
+    assert text == expand_branches(RADIAL, exact)
+    assert [series_text(b.steps) for b in text.branches] == ["-2/3*x", "x"]
+
+
 def test_lemma_checks_on_cusp_trace():
     res = expand_branches(CUSP)
     assert len(res.traces) == 2
