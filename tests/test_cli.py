@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from puiseuxform import Limits, expansion, polygon
+from puiseuxform import LemmaReport, Limits, OneForm, PuiseuxPoly, expansion, polygon
+from puiseuxform.cli import main
 from puiseuxform.cli.main import _VALUE_FLAGS, _limits, _normalize_argv, build_arg_parser, run
+from test_expansion import _lemmas_after
 from puiseuxform.oracle import MAX_GEN_RAMIFICATION, _validate_signature
 
 SVG_NS = {"s": "http://www.w3.org/2000/svg"}
@@ -170,6 +172,49 @@ def test_bad_limit_value_exits_2(capsys):
     assert "--max-exp" in capsys.readouterr().err
     assert run(["expand", "--a", "y", "--b", "-x", "--dicritical-samples", "1/0"]) == 2
     assert "--dicritical-samples" in capsys.readouterr().err
+
+
+def test_a_text_flag_value_fraction_cannot_read_exits_2(capsys):
+    assert run(["expand", "--a", "y", "--b", "-x", "--max-exp", "1e"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-exp: Invalid literal for Fraction: '1e'\n"
+
+
+DEAD_END = ["--a", "x", "--b", "0"]  # x dx: one vertex (1, 0), no side, a(x, 0) = x
+
+
+def test_a_dead_end_is_a_note(capsys):
+    assert run(["expand", *DEAD_END]) == 0
+    assert out_of(capsys) == (
+        "branches (0):\nnotes:\n  - [y ~ 0] dead end: no admissible steps\n")
+    assert run(["expand", *DEAD_END, "--json"]) == 0
+    assert json.loads(out_of(capsys)) == {
+        "branches": [], "notes": ["[y ~ 0] dead end: no admissible steps"]}
+    assert run(["verify", *DEAD_END]) == 0
+    assert out_of(capsys) == ("max r = 0\ny-order = 0\nmultiplicity = 2\n"
+                              "bound max r <= y-order <= multiplicity: PASS\n")
+    assert run(["verify", *DEAD_END, "--json"]) == 0
+    payload = json.loads(out_of(capsys))
+    assert payload["notes"] == ["[y ~ 0] dead end: no admissible steps"]
+    assert (payload["max_r"], payload["y_order"], payload["multiplicity"]) == (0, 0, 2)
+    assert payload["bound_ok"] is True
+
+
+def test_check_lemmas_reports_a_failing_lemma(monkeypatch, capsys):
+    # every cusp trace reported with the L1 failure of a row-0 point at tau
+    failing = LemmaReport([_lemmas_after(OneForm(PuiseuxPoly({(2, 0): 1}), PuiseuxPoly()))])
+    monkeypatch.setattr(main, "lemma_checks", lambda trace: failing)
+    cusp = ["check-lemmas", "--a", "-3*x^2", "--b", "2*y"]
+    assert run(cusp) == 1
+    out = out_of(capsys)
+    assert "L1=fail (min boundary abscissa 2 vs tau 2)" in out
+    assert out.endswith("checks: 2 passed, 4 failed, 2 vacuous\nlemma verdict: FAIL\n")
+    assert run([*cusp, "--json"]) == 1
+    payload = json.loads(out_of(capsys))
+    assert payload["ok"] is False
+    assert [tr["steps"][0]["l1"] for tr in payload["traces"]] == [
+        {"status": "fail", "detail": "min boundary abscissa 2 vs tau 2"}] * 2
 
 
 @pytest.mark.parametrize("samples", ["1,1/1", "0,0", "1/2,-1,2/4"])

@@ -513,6 +513,21 @@ def test_lemma_l2_fails_on_a_next_contact_level_with_p():
     assert l2 == ("fail", "next contact height 2 vs previous 2")
 
 
+def test_lemma_corollary_passes_at_height_t_and_fails_above_it():
+    # t = max(1, 2 - (2 - 1)) = 1: the line of co-slope 2 touches (1/2, 1)
+    # when a = x^(1/2)*y is there, and P = (-1, 2) itself when it is not
+    at_t = _lemmas_after(OneForm(PuiseuxPoly({(Fraction(1, 2), 1): 1}), Y)).corollary
+    assert at_t == ("pass", "next contact height 1 vs bound 1")
+    above = _lemmas_after(OneForm(PuiseuxPoly(), Y)).corollary
+    assert above == ("fail", "next contact height 2 vs bound 1")
+
+
+def test_lemma_l3_fails_on_a_survivor_one_grid_step_right():
+    # a = x*y puts (1, 1) in the cloud, one step of the grid 1/2 right of (1/2, 1)
+    l3 = _lemmas_after(OneForm(X * Y, Y)).l3
+    assert l3 == ("fail", "expected (-1, 2) and (1/2, 1) in transformed cloud")
+
+
 def test_lemma_report_never_raises_on_failure_shapes():
     # a hand-built report entry with a failing check is an entry, not an error
     from puiseuxform import CheckOutcome, StepLemmaReport
