@@ -28,6 +28,8 @@ agreement between the two is meaningful:
   int monomial and stops multiplying once the product is zero.
 * ``poly_to_text`` renders from the ``Fraction`` view ``items()``, where
   the pipeline renders from the integer grid.
+* ``separatrix_balance`` weighs the branches a search found against the
+  form's multiplicity, which the pipeline never compares them with.
 
 Nothing here calls the polygon hull or the branch search.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from puiseuxform.algebra import (
     INFINITY,
@@ -51,8 +53,8 @@ from puiseuxform.algebra import (
     signed_sum,
 )
 from puiseuxform.cli.parser import _MAX_TERMS, ParseError, _Parser
-from puiseuxform.expansion import PuiseuxBranch
-from puiseuxform.polygon import CloudPoint
+from puiseuxform.expansion import ExpansionResult, PuiseuxBranch
+from puiseuxform.polygon import CloudPoint, multiplicity
 
 _ZERO = Fraction(0)
 
@@ -248,3 +250,31 @@ def poly_to_text(p: PuiseuxPoly) -> str:
         parts = (power_text("x", ex), power_text("y", ey))
         terms.append((coeff, "*".join(part for part in parts if part)))
     return signed_sum(terms)
+
+
+class Balance(NamedTuple):
+    found: int  # the sum of q over the branches, a conjugate pair counted once
+    multiplicity: int
+    decided: bool  # no branch is truncated or takes a dicritical step
+
+
+def separatrix_balance(w: OneForm, result: ExpansionResult) -> Balance:
+    """The branches of ``result``, each weighed by its ramification ``q`` (its
+    last step's ``q_after``, 1 for ``y = 0``), against ``multiplicity(w)``.
+
+    For even ``q`` the conjugation ``x^(1/q) -> -x^(1/q)`` maps the series
+    ``sum c_t x^mu_t`` to ``sum (-1)^(mu_t q) c_t x^mu_t``, one curve branch
+    of multiplicity ``q`` that the search reports twice, so the two are
+    counted once.  Where every separatrix is a found branch, ``found`` equals
+    the multiplicity.  The sum is undecided when a branch is truncated or takes
+    a dicritical step, since the search then stands for more than it shows.
+    """
+    classes = {}
+    for b in result.branches:
+        q = b.steps[-1].q_after if b.steps else 1
+        series = tuple((s.mu, s.c) for s in b.steps)
+        conjugate = tuple((mu, -c if q % 2 == 0 and (mu * q).numerator % 2 else c)
+                          for mu, c in series)
+        classes[min(series, conjugate)] = q
+    decided = all(b.exact and not any(s.dicritical for s in b.steps) for b in result.branches)
+    return Balance(sum(classes.values()), multiplicity(w), decided)

@@ -11,12 +11,13 @@ from puiseuxform import (
     PuiseuxPoly,
     STANDARD_SIGNATURES,
     branch_to_curve,
+    differential,
     expand_branches,
     gen_case,
     order,
     polygon_of,
 )
-from reference import brute_hull, eval_ramified, substituted_residual
+from reference import brute_hull, eval_ramified, separatrix_balance, substituted_residual
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
@@ -201,3 +202,24 @@ def test_hull_matches_brute_force(points):
     vertices, coslopes = brute_hull(points)
     assert np.vertices == vertices
     assert tuple(s.coslope for s in np.sides) == coslopes
+
+
+def test_every_corpus_case_balances_its_separatrices():
+    for sig in STANDARD_SIGNATURES:
+        for seed in range(13):
+            w = gen_case(sig, seed).form
+            found, mult, decided = separatrix_balance(w, expand_branches(w))
+            assert decided and found == mult, (sig, seed)
+
+
+@pytest.mark.parametrize("w, balance", [
+    (differential(X**2 - Y**3), (0, 2, True)),  # x^2 = y^3 is tangent to x = 0
+    (OneForm(-2 * X, Y), (0, 2, True)),  # y = +-sqrt(2) x is irrational
+    (differential(X * Y * (X - Y)), (2, 3, True)),  # x = 0 is not a graph over x
+    (differential((X**2 - Y**3) * (Y**2 - X**3)), (2, 4, True)),  # y^2 = x^3 counted once
+    (differential(Y**3 - 2 * X**4), (0, 3, True)),  # y = 2^(1/3) x^(4/3)
+    (OneForm(X - Y, X**2), (1, 2, False)),  # Euler's divergent branch is truncated
+], ids=["x^2 - y^3", "-2x dx + y dy", "xy(x - y)", "(x^2 - y^3)(y^2 - x^3)", "y^3 - 2x^4",
+        "Euler"])
+def test_separatrices_the_search_cannot_find_show_as_a_deficit(w, balance):
+    assert separatrix_balance(w, expand_branches(w)) == balance
