@@ -107,7 +107,7 @@ class Limits(NamedTuple):
 def _read(field: str, value) -> int | Fraction:
     try:
         return _rational(value)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("Limits.%s: %s" % (field, exc)) from None
 
 

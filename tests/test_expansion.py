@@ -393,6 +393,7 @@ def test_expand_rejects_bad_input():
     (CUSP, Limits(max_exponent=-5), "^Limits.max_exponent must be at least 1$"),
     (CUSP, Limits(max_exponent=Fraction(1, 2)), "^Limits.max_exponent must be at least 1$"),
     (CUSP, Limits(max_exponent=1.4), r"^Limits.max_exponent: floats are not exact: 1\.4$"),
+    (CUSP, Limits(max_exponent="1/0"), r"^Limits.max_exponent: Fraction\(1, 0\)$"),
     (CUSP, Limits(max_ramification=0), "^Limits.max_ramification must be at least 1$"),
     (CUSP, Limits(max_branches=0), "^Limits.max_branches must be at least 1$"),
     (RADIAL, Limits(dicritical_samples=()),
@@ -403,10 +404,11 @@ def test_expand_rejects_bad_input():
      "^Limits.dicritical_samples must not repeat a coefficient$"),
     (RADIAL, Limits(dicritical_samples=(0.5,)),
      r"^Limits.dicritical_samples: floats are not exact: 0\.5$"),
-], ids=["max_exponent -5", "max_exponent 1/2", "max_exponent float", "max_ramification 0",
-        "max_branches 0", "no sample", "samples 1, 1", "samples 1/2 twice", "sample float"])
+], ids=["max_exponent -5", "max_exponent 1/2", "max_exponent float", "max_exponent 1/0",
+        "max_ramification 0", "max_branches 0", "no sample", "samples 1, 1",
+        "samples 1/2 twice", "sample float"])
 def test_expand_refuses_the_limits_the_cli_refuses(form, limits, err):
-    # each of these gave a "branch" y = 0 (or none) that verify_bound passed
+    # a limit below 1 gave a "branch" y = 0, or none, that verify_bound passed
     with pytest.raises(ValueError, match=err):
         expand_branches(form, limits)
 
