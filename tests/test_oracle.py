@@ -212,6 +212,14 @@ def test_every_corpus_case_balances_its_separatrices():
             assert decided and found == mult, (sig, seed)
 
 
+@settings(deadline=None)
+@given(st.sampled_from(STANDARD_SIGNATURES), st.integers(13, 10**6))
+def test_planted_cases_beyond_the_corpus_balance_their_separatrices(sig, seed):
+    w = gen_case(sig, seed).form
+    found, mult, decided = separatrix_balance(w, expand_branches(w))
+    assert decided and found == mult
+
+
 @pytest.mark.parametrize("w, balance", [
     (differential(X**2 - Y**3), (0, 2, True)),  # x^2 = y^3 is tangent to x = 0
     (OneForm(-2 * X, Y), (0, 2, True)),  # y = +-sqrt(2) x is irrational
