@@ -21,7 +21,9 @@ forms are the 104 planted corpus forms (``STANDARD_SIGNATURES`` x seeds
   coefficients and sums with and without parentheses, support lines and
   clouds too wide to draw, deep parentheses, an over-long literal, and
   Euler's form at ``--max-exp=1600``, whose series has a coefficient past
-  the interpreter's int -> str digit limit.
+  the interpreter's int -> str digit limit, the dead end of ``x dx`` (no
+  admissible step at the root) and a ``--max-exp`` that ``Fraction`` cannot
+  read.
 
 An exception that escapes ``run()`` is recorded in place of the exit code
 and the output, as its type name and message, so a commit at which some
@@ -88,6 +90,8 @@ INPUTS = [
     ["polygon", "--a=x^" + "1" * 5000, "--b=y"],
     *([*cmd, "--a=x - y", "--b=x^2", "--max-exp=1600"]
       for cmd in (["verify"], ["expand", "--json"], ["check-lemmas"])),
+    *([cmd, "--a=x", "--b=0"] for cmd in FORM_COMMANDS),
+    ["expand", "--a=y", "--b=-x", "--max-exp=1e"],
 ]
 
 
