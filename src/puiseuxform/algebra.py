@@ -22,15 +22,36 @@ RatLike = Union[int, str, Fraction]
 _ZERO = Fraction(0)
 
 
-def _rational(value: RatLike) -> int | Fraction:
+# Largest decimal exponent a rational string may give: Fraction("1e3000000")
+# builds a 10-million-bit integer, so the exponent is checked before it.
+_MAX_DECIMAL_EXPONENT = 1000
+
+
+def _rational(value: RatLike, name: str | None = None) -> int | Fraction:
     """The one reader of a rational argument: an int or a ``Fraction`` as it is,
     a float a ``ValueError`` (it is not exact), anything else ``Fraction(value)``,
-    so ``"p/q"`` strings are read exactly."""
+    so ``"p/q"`` strings are read exactly, and a string's decimal exponent
+    above 1000 in absolute value is refused before the number is built.
+    With a ``name``, every error is a ``ValueError`` that starts with it."""
     if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, float):
-        raise ValueError("floats are not exact: %r" % value)
-    return Fraction(value)
+    try:
+        if isinstance(value, float):
+            raise ValueError("floats are not exact: %r" % value)
+        if isinstance(value, str):
+            _mantissa, e, exponent = value.lower().rpartition("e")
+            try:
+                too_big = bool(e) and abs(int(exponent)) > _MAX_DECIMAL_EXPONENT
+            except ValueError:  # no exponent that int() reads: Fraction reports the text
+                too_big = False
+            if too_big:
+                raise ValueError("decimal exponent %s is above the limit %d"
+                                 % (exponent.strip(), _MAX_DECIMAL_EXPONENT))
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        if name is None:
+            raise
+        raise ValueError("%s: %s" % (name, exc)) from None
 
 
 def rat_str(value: RatLike) -> str:

@@ -15,9 +15,10 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from ..algebra import INFINITY, OneForm, power_text, rat_str, signed_sum
+from ..algebra import INFINITY, OneForm, _rational, power_text, rat_str, signed_sum
 from ..expansion import (
     Limits,
+    _checked,
     characteristic_poly,
     expand_branches,
     invariance_residual,
@@ -72,52 +73,17 @@ def _load_form(args) -> OneForm:
     return parse_form(args.a, args.b)
 
 
-# Largest decimal exponent a rational flag may give: Fraction("1e3000000")
-# builds a 10-million-bit integer, so the exponent is checked before it.
-_MAX_DECIMAL_EXPONENT = 1000
-
-
-def _rat_flag(flag: str, text: str) -> Fraction:
-    _mantissa, e, exponent = text.lower().rpartition("e")
-    try:
-        too_big = bool(e) and abs(int(exponent)) > _MAX_DECIMAL_EXPONENT
-    except ValueError:  # no exponent that int() reads: Fraction reports the text
-        too_big = False
-    if too_big:
-        raise ValueError("%s: decimal exponent %s is above the limit %d"
-                         % (flag, exponent.strip(), _MAX_DECIMAL_EXPONENT))
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("%s: %s" % (flag, exc)) from None
-
-
 def _rat_list_flag(flag: str, text: str) -> tuple[Fraction, ...]:
-    return tuple(
-        _rat_flag(flag, chunk.strip())
-        for chunk in text.split(",")
-        if chunk.strip()
-    )
+    return tuple(_rational(chunk.strip(), flag) for chunk in text.split(",") if chunk.strip())
+
+
+_LIMIT_FLAGS = {"max_exponent": "--max-exp", "max_ramification": "--max-ram",
+                "max_branches": "--max-branches", "dicritical_samples": "--dicritical-samples"}
 
 
 def _limits(args) -> Limits:
     samples = _rat_list_flag("--dicritical-samples", args.dicritical_samples)
-    if not samples:
-        raise ValueError("--dicritical-samples must list at least one coefficient")
-    if len(set(samples)) != len(samples):
-        raise ValueError("--dicritical-samples must not repeat a coefficient")
-    for flag, value in (("--max-ram", args.max_ram), ("--max-branches", args.max_branches)):
-        if value < 1:
-            raise ValueError("%s must be at least 1" % flag)
-    max_exp = _rat_flag("--max-exp", args.max_exp)
-    if max_exp < 1:
-        raise ValueError("--max-exp must be at least 1")
-    return Limits(
-        max_exponent=max_exp,
-        max_ramification=args.max_ram,
-        max_branches=args.max_branches,
-        dicritical_samples=samples,
-    )
+    return _checked(Limits(args.max_exp, args.max_ram, args.max_branches, samples), _LIMIT_FLAGS)
 
 
 def _pt(p) -> list[str]:

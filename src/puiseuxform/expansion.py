@@ -40,6 +40,7 @@ from .polygon import (
     CloudPoint,
     NewtonPolygon,
     SupportContact,
+    _check_polynomial,
     cloud_pair,
     multiplicity,
     polygon_of,
@@ -104,27 +105,25 @@ class Limits(NamedTuple):
     dicritical_samples: tuple[Fraction, ...] = (Fraction(1),)
 
 
-def _read(field: str, value) -> int | Fraction:
-    try:
-        return _rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("Limits.%s: %s" % (field, exc)) from None
+_FIELD_NAMES = {field: "Limits." + field for field in Limits._fields}
 
 
-def _checked(limits: Limits) -> Limits:
-    """``limits`` with its exponent and samples read exactly, or a
-    ``ValueError`` that names the field at fault."""
-    samples = tuple(_read("dicritical_samples", c) for c in limits.dicritical_samples)
+def _checked(limits: Limits, names: dict[str, str] = _FIELD_NAMES) -> Limits:
+    """``limits`` with its exponent and samples read exactly, or a ``ValueError``
+    naming the field at fault by ``names``: the samples are checked first, then
+    ``max_ramification``, ``max_branches`` and, read last, ``max_exponent``."""
+    samples = tuple(_rational(c, names["dicritical_samples"]) for c in limits.dicritical_samples)
     if not samples:
-        raise ValueError("Limits.dicritical_samples must list at least one coefficient")
+        raise ValueError("%s must list at least one coefficient" % names["dicritical_samples"])
     if len(set(samples)) != len(samples):
-        raise ValueError("Limits.dicritical_samples must not repeat a coefficient")
-    top = _read("max_exponent", limits.max_exponent)
-    for field, value in (("max_ramification", limits.max_ramification),
-                         ("max_branches", limits.max_branches), ("max_exponent", top)):
+        raise ValueError("%s must not repeat a coefficient" % names["dicritical_samples"])
+    for field in ("max_ramification", "max_branches", "max_exponent"):
+        value = getattr(limits, field)
+        if field == "max_exponent":
+            value = _rational(value, names[field])
         if value < 1:
-            raise ValueError("Limits.%s must be at least 1" % field)
-    return limits._replace(max_exponent=top, dicritical_samples=samples)
+            raise ValueError("%s must be at least 1" % names[field])
+    return limits._replace(max_exponent=value, dicritical_samples=samples)
 
 
 class TraceStep(NamedTuple):
@@ -352,16 +351,6 @@ def _axis_order(w: OneForm):
     return INFINITY if n is None else Fraction(n, w.a.d)
 
 
-def _validate_expandable(w: OneForm) -> None:
-    for p in (w.a, w.b):
-        if any(n % p.d for n, _ey in p.grid):
-            raise ValueError("expansion requires integer input exponents")
-    if w.a.is_zero() and w.b.is_zero():
-        raise ValueError("cannot expand the zero form")
-    if (0, 0) in w.a.grid or (0, 0) in w.b.grid:
-        raise ValueError("expansion requires a singular form (a(0,0) = b(0,0) = 0)")
-
-
 def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult:
     """Depth-first enumeration of invariant branches of a singular form.
 
@@ -376,7 +365,9 @@ def expand_branches(w: OneForm, limits: Limits | None = None) -> ExpansionResult
     ascending.
     """
     limits = _checked(limits or Limits())
-    _validate_expandable(w)
+    _check_polynomial(w)
+    if (0, 0) in w.a.grid or (0, 0) in w.b.grid:
+        raise ValueError("expansion requires a singular form (a(0,0) = b(0,0) = 0)")
     result = ExpansionResult([], [], [])
     capped = False
 

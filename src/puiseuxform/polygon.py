@@ -161,13 +161,19 @@ def y_order(w: OneForm) -> int:
     return min(points, key=lambda p: (p[0] + d * p[1], -p[1]))[1]
 
 
-def multiplicity(w: OneForm) -> int:
-    """The least ``i + j`` over the cloud plus 1, ``min(order(a), order(b)) + 1``,
-    for a form with integer exponents."""
+def _check_polynomial(w: OneForm) -> None:
+    """Refuse a form with a fractional exponent, or the zero form: neither has
+    a multiplicity, so neither can be held to the bound."""
     for p in (w.a, w.b):
         if any(n % p.d for n, _ey in p.grid):
             raise ValueError("multiplicity requires integer exponents")
     if w.a.is_zero() and w.b.is_zero():
         raise ValueError("the zero form has no multiplicity")
+
+
+def multiplicity(w: OneForm) -> int:
+    """The least ``i + j`` over the cloud plus 1, ``min(order(a), order(b)) + 1``,
+    for a form with integer exponents."""
+    _check_polynomial(w)
     points, d = _scan(w)
     return min(n + d * j for n, j in points) // d + 1

@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+import time
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -129,6 +131,45 @@ CUSP_FORM = OneForm(-3 * X**2, 2 * Y)
 def test_every_rational_argument_refuses_floats(call):
     with pytest.raises(ValueError, match="floats are not exact: "):
         call()
+
+
+def test_the_rational_reader_names_its_argument_and_bounds_decimal_exponents():
+    from puiseuxform.algebra import _rational
+
+    assert _rational("1e1000") == _rational("1E+1000") == 10**1000
+    assert _rational("15e-1", "mu") == Fraction(3, 2)
+    with pytest.raises(ValueError, match="^decimal exponent 1001 is above the limit 1000$"):
+        _rational("1e1001")
+    with pytest.raises(ValueError, match="^mu: decimal exponent -1001 is above the limit 1000$"):
+        _rational("1e-1001", "mu")
+    with pytest.raises(ValueError, match=r"^c: floats are not exact: 0\.5$"):
+        _rational(0.5, "c")
+    with pytest.raises(ValueError, match=r"^c: Fraction\(1, 0\)$"):
+        _rational("1/0", "c")
+    with pytest.raises(ValueError, match="^c: Invalid literal for Fraction: '1e'$"):
+        _rational("1e", "c")
+
+
+@pytest.mark.parametrize("call, err", [
+    (lambda: rat_str("1e3000000"), "decimal exponent 3000000 is above the limit 1000"),
+    (lambda: expand_branches(CUSP_FORM, Limits(max_exponent="1e3000000")),
+     "Limits.max_exponent: decimal exponent 3000000 is above the limit 1000"),
+    (lambda: support(polygon_of(CUSP_FORM), "1e-3000000"),
+     "decimal exponent -3000000 is above the limit 1000"),
+    (lambda: transform_form(CUSP_FORM, "1e1000000", 1),
+     "decimal exponent 1000000 is above the limit 1000"),
+    (lambda: PuiseuxPoly({("1e-1000000", 1): 1}),
+     "decimal exponent -1000000 is above the limit 1000"),
+    (lambda: expand_branches(OneForm(Y, -X), Limits(dicritical_samples=("2e3000000",))),
+     "Limits.dicritical_samples: decimal exponent 3000000 is above the limit 1000"),
+], ids=["rat_str", "max_exponent", "support", "transform_form", "PuiseuxPoly",
+        "dicritical_samples"])
+def test_the_library_refuses_huge_decimal_exponents(call, err):
+    # Fraction("1e3000000") builds a 10-million-bit integer (about 1 s)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^%s$" % re.escape(err)):
+        call()
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("terms", [

@@ -239,6 +239,21 @@ def test_limit_below_one_exits_2(capsys, flag, value):
     assert captured.err == "error: %s must be at least 1\n" % flag
 
 
+@pytest.mark.parametrize("flags, flag", [
+    (["--max-ram=0", "--max-exp=1e"], "--max-ram"),
+    (["--max-branches=0", "--max-exp=0"], "--max-branches"),
+    (["--dicritical-samples=1,1", "--max-ram=0"], "--dicritical-samples"),
+])
+def test_the_first_limit_fault_in_flag_order_is_reported(capsys, flags, flag):
+    # the samples, then --max-ram and --max-branches, then --max-exp, read last
+    assert run(["verify", "--a", "-3*x^2", "--b", "2*y", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: %s must " % flag)
+    if flag == "--max-ram":
+        assert captured.err == "error: --max-ram must be at least 1\n"
+
+
 def test_support_requires_svg(capsys, tmp_path):
     assert run(["polygon", "--a", "-3*x^2", "--b", "2*y", "--support", "2"]) == 2
     assert "--support requires --svg" in capsys.readouterr().err
