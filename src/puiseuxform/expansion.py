@@ -97,7 +97,8 @@ class PuiseuxBranch(NamedTuple):
 
 class Limits(NamedTuple):
     """Expansion cut-offs and the dicritical sampling policy.  ``expand_branches``
-    refuses what the CLI refuses: a limit below 1, no sample or a repeated one."""
+    and ``admissible_steps`` refuse what the CLI refuses: a limit below 1, no
+    sample or a repeated one."""
 
     max_exponent: Fraction = Fraction(40)
     max_ramification: int = 16
@@ -280,12 +281,13 @@ def admissible_steps(
     rational roots of their characteristic polynomial, or the nonzero
     sampled coefficients when dicritical; eligible vertices contribute
     dicritical steps.  Each step keeps the support contact it was taken on.
-    Steps beyond the limits are pruned.  The returned enumeration holds the
-    polygon of ``w``, and notes the pruned candidates and the rational dead ends.
+    Steps beyond the limits, which it checks as ``expand_branches`` does, are
+    pruned.  The returned enumeration holds the polygon of ``w``, and notes the
+    pruned candidates and the rational dead ends.
     """
     if after is not None and after < 1:
         raise ValueError("after must be >= 1")
-    limits = limits or Limits()
+    limits = _checked(limits or Limits())
     np = polygon_of(w)
 
     # A side offers its co-slope.  A vertex (i, j) offers the single
@@ -312,7 +314,7 @@ def admissible_steps(
         contact = support(np, mu)
         phi = characteristic_poly(w, contact)
         if not phi:
-            cands += [BranchStep(mu, _rational(c), q_before, contact, True)
+            cands += [BranchStep(mu, c, q_before, contact, True)
                       for c in limits.dicritical_samples if c]
         elif roots := rational_roots(phi):
             cands += [BranchStep(mu, c, q_before, contact, False) for c in roots]

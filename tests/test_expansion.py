@@ -413,6 +413,33 @@ def test_expand_refuses_the_limits_the_cli_refuses(form, limits, err):
         expand_branches(form, limits)
 
 
+@pytest.mark.parametrize("form, limits, err", [
+    (CUSP, Limits(max_exponent=-5, max_ramification=0),
+     "^Limits.max_ramification must be at least 1$"),
+    (CUSP, Limits(max_exponent=-5), "^Limits.max_exponent must be at least 1$"),
+    (CUSP, Limits(max_exponent="1e"), "^Limits.max_exponent: Invalid literal for Fraction"),
+    (CUSP, Limits(max_branches=0), "^Limits.max_branches must be at least 1$"),
+    (RADIAL, Limits(dicritical_samples=()),
+     "^Limits.dicritical_samples must list at least one coefficient$"),
+    (RADIAL, Limits(dicritical_samples=(2, "2/1")),
+     "^Limits.dicritical_samples must not repeat a coefficient$"),
+    (RADIAL, Limits(dicritical_samples=(0.5,)),
+     r"^Limits.dicritical_samples: floats are not exact: 0\.5$"),
+], ids=["max_exponent -5 and max_ramification 0", "max_exponent -5", "max_exponent 1e",
+        "max_branches 0", "no sample", "samples 2 and 2/1", "sample float"])
+def test_admissible_steps_refuses_the_limits_expand_refuses(form, limits, err):
+    # the first case gave no step and the note "exponent beyond limit -5"
+    with pytest.raises(ValueError, match=err):
+        admissible_steps(form, limits=limits)
+
+
+def test_admissible_steps_reads_its_limits_exactly():
+    text = admissible_steps(RADIAL, limits=Limits("3/2", 1, 1, ("1", "-2/3")))
+    exact = admissible_steps(RADIAL, limits=Limits(Fraction(3, 2), 1, 1, (1, Fraction(-2, 3))))
+    assert text == exact
+    assert [(s.mu, s.c) for s in text.steps] == [(1, Fraction(-2, 3)), (1, 1)]
+
+
 def test_limits_at_one_and_exact_text_limits_are_accepted():
     assert expand_branches(CUSP, Limits(Fraction(1), 1, 1, (Fraction(-1),))).branches
     # max_exponent and the samples are read exactly, "p/q" strings included
