@@ -26,16 +26,16 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import INFINITY, OneForm, PuiseuxPoly, _record, _sum, _to_grid, differential
+from .algebra import INFINITY, OneForm, PuiseuxPoly, _rational, _record, _sum, _to_grid, differential
 from .expansion import BranchStep, PuiseuxBranch
 
 
 def branch_to_curve(coeffs: dict[int, Fraction], m: int) -> PuiseuxPoly:
     """Monic degree-m curve vanishing on ``y = sum f_k x^(k/m)``.
 
-    ``coeffs`` maps k to f_k; every k must be an integer >= m (so the
-    branch has order >= 1) and the representation must be primitive:
-    gcd(m, k over nonzero f_k) == 1.
+    ``coeffs`` maps k to f_k; every k must be an int >= m (so the branch
+    has order >= 1), every f_k a rational that ``algebra._rational`` reads,
+    and the representation must be primitive: gcd(m, k over nonzero f_k) == 1.
 
     With gamma = sum f_k x^(k/m), the k-th power sum of the m conjugates
     gamma(zeta * x^(1/m)) keeps only the integer x-exponents of gamma^k:
@@ -47,7 +47,12 @@ def branch_to_curve(coeffs: dict[int, Fraction], m: int) -> PuiseuxPoly:
     """
     if m < 1:
         raise ValueError("ramification m must be a positive integer")
-    cleaned = {int(k): Fraction(f) for k, f in coeffs.items() if f != 0}
+    cleaned = {}
+    for k, f in coeffs.items():
+        if not isinstance(k, int):
+            raise ValueError("exponent numerator %r is not an int" % (k,))
+        if c := _rational(f):
+            cleaned[k] = c
     if not cleaned:
         raise ValueError("branch must have at least one nonzero term")
     for k in cleaned:
@@ -93,7 +98,6 @@ def _validate_signature(signature: tuple[Fraction, ...]) -> int:
     q = 1
     prev = Fraction(1)
     for e in signature:
-        e = Fraction(e)
         if e <= prev:
             raise ValueError("characteristic exponents must increase from 1")
         if e.denominator % q != 0 or e.denominator == q:
@@ -124,7 +128,7 @@ def gen_case(signature, seed: int) -> GeneratedCase:
     unramified case (empty signature) the curve is smooth, so a second
     transverse line is multiplied in to make the differential singular.
     """
-    signature = tuple(Fraction(e) for e in signature)
+    signature = tuple(_rational(e) for e in signature)
     m = _validate_signature(signature)
     rng = random.Random("gen_case:%s:%d" % (signature, seed))
 

@@ -127,6 +127,30 @@ def test_gen_case_signature_validation():
         gen_case((Fraction(3, 2), Fraction(5, 2)), 0)  # grid does not grow
 
 
+@pytest.mark.parametrize("call, err", [
+    (lambda: gen_case((1.5,), 0), r"^floats are not exact: 1\.5$"),
+    (lambda: gen_case(("3/2", 1.75), 0), r"^floats are not exact: 1\.75$"),
+    (lambda: gen_case(("3/2", "1e-3000000"), 0),
+     "^decimal exponent -3000000 is above the limit 1000$"),
+    (lambda: branch_to_curve({3: 0.5, 2: 1}, 2), r"^floats are not exact: 0\.5$"),
+    (lambda: branch_to_curve({3: 1, 5: 0.0}, 2), r"^floats are not exact: 0\.0$"),
+    (lambda: branch_to_curve({2.5: 1, 3: 1}, 2), r"^exponent numerator 2\.5 is not an int$"),
+    (lambda: branch_to_curve({Fraction(3): 1}, 2),
+     r"^exponent numerator Fraction\(3, 1\) is not an int$"),
+], ids=["gen_case float", "gen_case second float", "gen_case huge exponent",
+        "coefficient float", "zero float", "key float", "key Fraction"])
+def test_the_oracle_reads_its_rationals_exactly(call, err):
+    # the floats were used as their binary values, and int(2.5) made the key 2
+    with pytest.raises(ValueError, match=err):
+        call()
+
+
+def test_the_oracle_reads_rational_strings():
+    assert gen_case(("3/2", "7/4"), 3) == gen_case((Fraction(3, 2), Fraction(7, 4)), 3)
+    assert branch_to_curve({3: "1/2", 4: "-2"}, 2) == branch_to_curve(
+        {3: Fraction(1, 2), 4: Fraction(-2)}, 2)
+
+
 def test_gen_case_plants_the_signature():
     sig = (Fraction(3, 2), Fraction(7, 4))
     case = gen_case(sig, 3)
