@@ -30,6 +30,10 @@ agreement between the two is meaningful:
   the pipeline renders from the integer grid.
 * ``separatrix_balance`` weighs the branches a search found against the
   form's multiplicity, which the pipeline never compares them with.
+* ``y_shifted`` is the form after ``y -> y + c*x**k``, built term by term
+  from ``binomial_shift`` and ``term_product``, where the search chains
+  ``transform_form``.  A search of it must find the same bound and
+  branches, each series less ``c*x**k``.
 
 Nothing here calls the polygon hull or the branch search.
 """
@@ -278,3 +282,13 @@ def separatrix_balance(w: OneForm, result: ExpansionResult) -> Balance:
         classes[min(series, conjugate)] = q
     decided = all(b.exact and not any(s.dicritical for s in b.steps) for b in result.branches)
     return Balance(sum(classes.values()), multiplicity(w), decided)
+
+
+def y_shifted(w: OneForm, c: RatLike, k: int) -> OneForm:
+    """``w`` after ``y -> y + c*x**k``: ``a(x, y + c x^k) + k c x^(k-1) b(x, y + c x^k)``
+    and ``b(x, y + c x^k)``.  For an integer ``k >= 2`` the change keeps the
+    lowest-degree terms, so the y-order and the multiplicity, and a branch
+    ``y = Gamma`` of ``w`` is the branch ``y = Gamma - c x^k`` of the result,
+    with the same characteristic exponents."""
+    a, b = binomial_shift(w.a, c, k), binomial_shift(w.b, c, k)
+    return OneForm(a + term_product(PuiseuxPoly.monomial(k * Fraction(c), k - 1), b), b)

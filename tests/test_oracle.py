@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from puiseuxform import (
     INFINITY,
+    Limits,
     OneForm,
     PuiseuxPoly,
     STANDARD_SIGNATURES,
@@ -16,8 +18,11 @@ from puiseuxform import (
     gen_case,
     order,
     polygon_of,
+    verify_bound,
 )
-from reference import brute_hull, eval_ramified, separatrix_balance, substituted_residual
+from reference import (
+    brute_hull, eval_ramified, separatrix_balance, substituted_residual, y_shifted,
+)
 
 X = PuiseuxPoly.monomial(1, 1)
 Y = PuiseuxPoly.monomial(1, 0, 1)
@@ -255,3 +260,47 @@ def test_planted_cases_beyond_the_corpus_balance_their_separatrices(sig, seed):
         "Euler"])
 def test_separatrices_the_search_cannot_find_show_as_a_deficit(w, balance):
     assert separatrix_balance(w, expand_branches(w)) == balance
+
+
+_MONOMIALS = [(i, j) for i in range(5) for j in range(5) if 1 <= i + j <= 4]
+
+
+def _random_form(rng: random.Random) -> OneForm:
+    """1-4 terms per coefficient, of degree 1-4, with coefficients +-1, +-2, +-3."""
+    def coefficient():
+        picked = rng.sample(_MONOMIALS, rng.randint(1, 4))
+        return PuiseuxPoly({key: rng.choice((1, -1, 2, -2, 3, -3)) for key in picked})
+    return OneForm(coefficient(), coefficient())
+
+
+def _series(branch) -> PuiseuxPoly:
+    return PuiseuxPoly({(s.mu, 0): s.c for s in branch.steps})
+
+
+def test_a_shift_y_to_y_plus_c_x_to_the_k_keeps_the_bound_and_the_branches():
+    # a metamorphic relation: y -> y + c x^k, k >= 2, is a change of coordinates
+    # that keeps the lowest-degree terms, so it keeps the y-order, the
+    # multiplicity and each branch's characteristic exponents
+    rng = random.Random("y -> y + c x^k")
+    limits = Limits(max_exponent=12)
+    seen = Counter()
+    for _ in range(300):
+        w = _random_form(rng)
+        k, c = rng.choice((2, 3)), rng.choice((1, -2, Fraction(1, 2)))
+        w2 = y_shifted(w, c, k)
+        before, after = (expand_branches(f, limits) for f in (w, w2))
+        if any(e.step.dicritical for res in (before, after) for tr in res.traces for e in tr):
+            seen["skipped"] += 1  # the samples stand for a family, not one branch
+            continue
+        case = (w, c, k)
+        assert verify_bound(w, before.branches) == verify_bound(w2, after.branches), case
+        assert sorted(b.r for b in before.branches) == sorted(b.r for b in after.branches), case
+        if all(b.exact for b in before.branches):
+            seen["exact"] += 1
+            shift = PuiseuxPoly.monomial(c, k)
+            assert all(b.exact for b in after.branches), case
+            assert (sorted((_series(b) - shift).items() for b in before.branches)
+                    == sorted(_series(b).items() for b in after.branches)), case
+        else:
+            seen["truncated"] += 1
+    assert seen["exact"] >= 100 and seen["truncated"] >= 50 and seen["skipped"] <= 30, seen
