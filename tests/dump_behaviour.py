@@ -22,8 +22,9 @@ forms are the 104 planted corpus forms (``STANDARD_SIGNATURES`` x seeds
   clouds too wide to draw, deep parentheses, an over-long literal, and
   Euler's form at ``--max-exp=1600``, whose series has a coefficient past
   the interpreter's int -> str digit limit, the dead end of ``x dx`` (no
-  admissible step at the root) and a ``--max-exp`` that ``Fraction`` cannot
-  read.
+  admissible step at the root), a ``--max-exp`` that ``Fraction`` cannot
+  read, alone and after a ``--max-ram`` below 1, and a dicritical sample
+  with a huge decimal exponent.
 
 An exception that escapes ``run()`` is recorded in place of the exit code
 and the output, as its type name and message, so a commit at which some
@@ -92,6 +93,8 @@ INPUTS = [
       for cmd in (["verify"], ["expand", "--json"], ["check-lemmas"])),
     *([cmd, "--a=x", "--b=0"] for cmd in FORM_COMMANDS),
     ["expand", "--a=y", "--b=-x", "--max-exp=1e"],
+    ["verify", *CUSP, "--max-ram=0", "--max-exp=1e"],
+    ["expand", "--a=y", "--b=-x", "--dicritical-samples=1,2e3000000"],
 ]
 
 
