@@ -220,6 +220,24 @@ def test_arithmetic_identities():
     assert 1 - Y == PuiseuxPoly.monomial(1) - Y
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: p - 0.5, lambda p: 0.5 - p, lambda p: p - "x", lambda p: p + 0.5,
+], ids=["p - 0.5", "0.5 - p", "p - 'x'", "p + 0.5"])
+def test_minus_refuses_what_plus_refuses(call):
+    with pytest.raises(TypeError):
+        call(X - Y)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: p - Y, lambda p: p - 1, lambda p: 1 - p, lambda p: p - Fraction(1, 2),
+], ids=["p - q", "p - 1", "1 - p", "p - 1/2"])
+def test_plus_is_the_one_coercion_of_minus(call, monkeypatch):
+    coerce, seen = PuiseuxPoly._coerce, []
+    monkeypatch.setattr(PuiseuxPoly, "_coerce", staticmethod(lambda v: seen.append(v) or coerce(v)))
+    call(X)
+    assert len(seen) == 1  # the + that the - is made of
+
+
 @pytest.mark.parametrize("n, products", [(1, 1), (32, 6)])
 def test_power_squares_only_while_bits_remain(n, products, monkeypatch):
     # p**32 is five squarings and one product with 1; a sixth square is waste

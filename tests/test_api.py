@@ -1,6 +1,7 @@
 """The package's public names: ``__all__`` resolves, the reference oracles stay out."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ MOVED_TO_REFERENCE = (
     "CharPoly",
     "brute_hull",
     "eval_ramified",
+    "order",
     "poly_from_pairs",
     "substituted_residual",
 )
@@ -41,6 +43,8 @@ def test_test_only_code_is_not_shipped(module):
 @pytest.mark.parametrize("module, name", [
     (algebra, "substitute_shift"),  # transform_form's a of the form p dx
     (polygon, "newton_polygon"),  # polygon_of the form with one a term per point
+    (puiseuxform.PuiseuxPoly, "monomial"),  # PuiseuxPoly({(ex, ey): coeff})
+    (puiseuxform.BranchStep, "contact_kind"),  # step.contact.kind
 ])
 def test_one_entry_per_job(module, name):
     assert not hasattr(module, name)
@@ -60,6 +64,19 @@ def test_one_entry_per_job(module, name):
 def test_records_are_immutable(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
+
+
+def test_the_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+    assert capsys.readouterr().out == (
+        "-x^(3/2) 1 True infinity\n"
+        "x^(3/2) 1 True infinity\n"
+        "BoundReport(max_r=1, y_order=2, multiplicity=2, ok=True)\n"
+        "infinity\n"
+    )
 
 
 def test_the_cli_does_not_import_dataclasses():
