@@ -14,7 +14,6 @@ from .algebra import (
     OneForm,
     PuiseuxPoly,
     differential,
-    order,
     rat_str,
     transform_form,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "OneForm",
     "PuiseuxPoly",
     "differential",
-    "order",
     "rat_str",
     "transform_form",
     "BoundReport",

@@ -155,10 +155,6 @@ class PuiseuxPoly:
         self.grid = {(ex.numerator * (d // ex.denominator), ey):
                      c.numerator * (den // c.denominator) for (ex, ey), c in terms.items()}
 
-    @classmethod
-    def monomial(cls, coeff: RatLike, ex: RatLike = 0, ey: int = 0) -> "PuiseuxPoly":
-        return cls({(ex, ey): coeff})
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -206,16 +202,10 @@ class PuiseuxPoly:
         return _record(self.d, self.den, {k: -v for k, v in self.grid.items()})
 
     def __sub__(self, other) -> "PuiseuxPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "PuiseuxPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "PuiseuxPoly":
         other = self._coerce(other)
@@ -346,13 +336,6 @@ class OneForm(NamedTuple):
 
     a: PuiseuxPoly
     b: PuiseuxPoly
-
-
-def order(p: PuiseuxPoly):
-    """Minimum of ``ex + ey`` over the terms; ``INFINITY`` for the zero poly."""
-    if p.is_zero():
-        return INFINITY
-    return Fraction(min(n + ey * p.d for (n, ey) in p.grid), p.d)
 
 
 def _rescale(grid: dict, widen: int, lift: int = 1) -> dict:

@@ -129,7 +129,7 @@ def _step_payload(s) -> dict:
         "c": rat_str(s.c),
         "characteristic": s.characteristic,
         "dicritical": s.dicritical,
-        "contact": s.contact_kind,
+        "contact": "unknown" if s.contact is None else s.contact.kind,
         "q_before": s.q_before,
         "q_after": s.q_after,
     }

@@ -67,11 +67,6 @@ class BranchStep(NamedTuple):
     def characteristic(self) -> bool:
         return self.q_after > self.q_before
 
-    @property
-    def contact_kind(self) -> str:
-        """``"vertex"`` or ``"side"``, and ``"unknown"`` for a planted step."""
-        return "unknown" if self.contact is None else self.contact.kind
-
 
 class PuiseuxBranch(NamedTuple):
     """A maximal or truncated invariant-branch expansion."""

@@ -62,7 +62,7 @@ def branch_to_curve(coeffs: dict[int, Fraction], m: int) -> PuiseuxPoly:
         raise ValueError("non-primitive parametrisation: gcd(m, k's) > 1")
 
     gamma = PuiseuxPoly({(Fraction(k, m), 0): f for k, f in cleaned.items()})
-    power, q, c = gamma, [None], [PuiseuxPoly.monomial(1)]
+    power, q, c = gamma, [None], [PuiseuxPoly({(0, 0): 1})]
     for k in range(1, m + 1):
         if k > 1:
             power = power * gamma
@@ -158,9 +158,7 @@ def gen_case(signature, seed: int) -> GeneratedCase:
     if m == 1:
         gamma_lin = dict(terms).get(Fraction(1), Fraction(0))
         extra_line = next(d for d in _COEFF_POOL if d != gamma_lin)
-        curve = curve * (
-            PuiseuxPoly.monomial(1, 0, 1) - PuiseuxPoly.monomial(extra_line, 1)
-        )
+        curve = curve * PuiseuxPoly({(0, 1): 1, (1, 0): -extra_line})
     form = differential(curve)
 
     steps: list[BranchStep] = []

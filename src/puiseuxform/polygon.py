@@ -172,8 +172,8 @@ def _check_polynomial(w: OneForm) -> None:
 
 
 def multiplicity(w: OneForm) -> int:
-    """The least ``i + j`` over the cloud plus 1, ``min(order(a), order(b)) + 1``,
-    for a form with integer exponents."""
+    """The least ``i + j`` over the cloud plus 1, that is the least total degree
+    of the terms of ``a`` and ``b`` plus 1, for a form with integer exponents."""
     _check_polynomial(w)
     points, d = _scan(w)
     return min(n + d * j for n, j in points) // d + 1

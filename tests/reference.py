@@ -10,6 +10,9 @@ agreement between the two is meaningful:
 * ``eval_ramified`` evaluates a polynomial at a point of the ramified
   grid, so identities can be checked numerically.
 * ``poly_from_pairs`` builds a polynomial from ``(ex, ey, coeff)`` triples.
+* ``order`` is the least ``ex + ey`` over a polynomial's terms, read from
+  its ``Fraction`` view, where ``multiplicity`` reads the least ``i + j``
+  off the integer cloud scan.
 * ``binomial_shift`` is the per-term form of ``p(x, c*x**mu + y)``, the
   ``a`` of ``transform_form(OneForm(p, PuiseuxPoly()), c, mu)``: it
   evaluates ``C(ey, l) * c**l`` and ``ex + mu*l`` for every term and every
@@ -120,8 +123,8 @@ def substituted_residual(w: OneForm, branch: PuiseuxBranch):
     for s in branch.steps:
         if s.c == 0:
             continue
-        gamma = gamma + PuiseuxPoly.monomial(s.c, s.mu)
-        dgamma = dgamma + PuiseuxPoly.monomial(s.c * s.mu, s.mu - 1)
+        gamma = gamma + PuiseuxPoly({(s.mu, 0): s.c})
+        dgamma = dgamma + PuiseuxPoly({(s.mu - 1, 0): s.c * s.mu})
     total = _substitute_y(w.a, gamma) + _substitute_y(w.b, gamma) * dgamma
     if total.is_zero():
         return INFINITY
@@ -129,12 +132,12 @@ def substituted_residual(w: OneForm, branch: PuiseuxBranch):
 
 
 def _substitute_y(p: PuiseuxPoly, gamma: PuiseuxPoly) -> PuiseuxPoly:
-    powers = {0: PuiseuxPoly.monomial(1)}
+    powers = {0: PuiseuxPoly({(0, 0): 1})}
     acc = PuiseuxPoly()
     for (ex, ey), coeff in p.items():
         if ey not in powers:
             powers[ey] = gamma**ey
-        acc = acc + PuiseuxPoly.monomial(coeff, ex) * powers[ey]
+        acc = acc + PuiseuxPoly({(ex, 0): coeff}) * powers[ey]
     return acc
 
 
@@ -162,6 +165,11 @@ def poly_from_pairs(pairs: Iterable[tuple[RatLike, int, RatLike]]) -> PuiseuxPol
         else:
             acc.pop(key, None)
     return PuiseuxPoly(acc)
+
+
+def order(p: PuiseuxPoly):
+    """Minimum of ``ex + ey`` over the terms; ``INFINITY`` for the zero poly."""
+    return min((ex + ey for ex, ey in p.terms), default=INFINITY)
 
 
 def binomial_shift(p: PuiseuxPoly, c: RatLike, mu: RatLike) -> PuiseuxPoly:
@@ -291,4 +299,4 @@ def y_shifted(w: OneForm, c: RatLike, k: int) -> OneForm:
     ``y = Gamma`` of ``w`` is the branch ``y = Gamma - c x^k`` of the result,
     with the same characteristic exponents."""
     a, b = binomial_shift(w.a, c, k), binomial_shift(w.b, c, k)
-    return OneForm(a + term_product(PuiseuxPoly.monomial(k * Fraction(c), k - 1), b), b)
+    return OneForm(a + term_product(PuiseuxPoly({(k - 1, 0): k * Fraction(c)}), b), b)

@@ -16,16 +16,15 @@ from puiseuxform import (
     differential,
     expand_branches,
     gen_case,
-    order,
     polygon_of,
     verify_bound,
 )
 from reference import (
-    brute_hull, eval_ramified, separatrix_balance, substituted_residual, y_shifted,
+    brute_hull, eval_ramified, order, separatrix_balance, substituted_residual, y_shifted,
 )
 
-X = PuiseuxPoly.monomial(1, 1)
-Y = PuiseuxPoly.monomial(1, 0, 1)
+X = PuiseuxPoly({(1, 0): 1})
+Y = PuiseuxPoly({(0, 1): 1})
 
 
 def test_branch_to_curve_cusp():
@@ -297,7 +296,7 @@ def test_a_shift_y_to_y_plus_c_x_to_the_k_keeps_the_bound_and_the_branches():
         assert sorted(b.r for b in before.branches) == sorted(b.r for b in after.branches), case
         if all(b.exact for b in before.branches):
             seen["exact"] += 1
-            shift = PuiseuxPoly.monomial(c, k)
+            shift = PuiseuxPoly({(k, 0): c})
             assert all(b.exact for b in after.branches), case
             assert (sorted((_series(b) - shift).items() for b in before.branches)
                     == sorted(_series(b).items() for b in after.branches)), case

@@ -12,17 +12,16 @@ from puiseuxform import (
     PuiseuxPoly,
     cloud,
     multiplicity,
-    order,
     polygon_of,
     support,
     transform_form,
     y_order,
 )
 from puiseuxform.polygon import cloud_pair
-from reference import brute_hull, poly_from_pairs
+from reference import brute_hull, order, poly_from_pairs
 
-X = PuiseuxPoly.monomial(1, 1)
-Y = PuiseuxPoly.monomial(1, 0, 1)
+X = PuiseuxPoly({(1, 0): 1})
+Y = PuiseuxPoly({(0, 1): 1})
 
 CUSP = OneForm(-3 * X**2, 2 * Y)
 
