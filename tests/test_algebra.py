@@ -3,6 +3,7 @@ import re
 import sys
 import time
 from collections.abc import Mapping
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,25 @@ def test_the_rational_reader_names_its_argument_and_bounds_decimal_exponents():
         _rational("1e", "c")
 
 
+def test_the_rational_reader_reads_other_numbers_through_their_text():
+    from puiseuxform.algebra import _rational
+
+    assert _rational(Decimal("1.5")) == Fraction(3, 2) and _rational(Decimal("-2")) == -2
+    start = time.perf_counter()
+    # Fraction(Decimal("1e1000000")) builds a 3,321,929-bit numerator
+    with pytest.raises(ValueError, match="^decimal exponent 1000000 is above the limit 1000$"):
+        _rational(Decimal("1e1000000"))
+    with pytest.raises(ValueError, match="^X: decimal exponent -1001 is above the limit 1000$"):
+        _rational(Decimal("1e-1001"), "X")
+    with pytest.raises(ValueError, match="^X: Invalid literal for Fraction: 'Infinity'$"):
+        _rational(Decimal("Infinity"), "X")  # was a bare OverflowError
+    with pytest.raises(ValueError, match="^X: Invalid literal for Fraction: 'NaN'$"):
+        _rational(Decimal("NaN"), "X")
+    with pytest.raises(ValueError, match="^decimal exponent 1000000 is above the limit 1000$"):
+        PuiseuxPoly({(1, 0): Decimal("1e1000000")})
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("call, err", [
     (lambda: rat_str("1e3000000"), "decimal exponent 3000000 is above the limit 1000"),
     (lambda: expand_branches(CUSP_FORM, Limits(max_exponent="1e3000000")),
@@ -251,6 +271,22 @@ def test_power_squares_only_while_bits_remain(n, products, monkeypatch):
     monkeypatch.setattr(PuiseuxPoly, "__mul__", counting)
     p**n
     assert len(calls) == products
+
+
+@pytest.mark.parametrize("n, err", [
+    (2.5, r"^floats are not exact: 2\.5$"),
+    (Fraction(5, 2), "^5/2 is not a whole number$"),
+    ("5/2", "^5/2 is not a whole number$"),
+    (-1, "^negative powers are not defined$"),
+], ids=["2.5", "Fraction 5/2", "text 5/2", "-1"])
+def test_power_refuses_an_exponent_that_is_not_a_whole_number(n, err):
+    # int(n) made (x + y)**2.5 equal to (x + y)**2
+    with pytest.raises(ValueError, match=err):
+        (X + Y) ** n
+
+
+def test_power_reads_a_whole_exponent_of_any_exact_type():
+    assert (X + Y) ** Fraction(2) == (X + Y) ** "2" == (X + Y) ** 2 == X**2 + 2 * X * Y + Y**2
 
 
 def test_power_equals_repeated_multiplication():

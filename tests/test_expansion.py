@@ -432,6 +432,33 @@ def test_admissible_steps_refuses_the_limits_expand_refuses(form, limits, err):
         admissible_steps(form, limits=limits)
 
 
+def _admissible(form, limits):
+    return admissible_steps(form, limits=limits)
+
+
+@pytest.mark.parametrize("search", [expand_branches, _admissible])
+@pytest.mark.parametrize("limits, err", [
+    (Limits(max_ramification=2.5), r"^Limits.max_ramification: floats are not exact: 2\.5$"),
+    (Limits(max_branches=1.5), r"^Limits.max_branches: floats are not exact: 1\.5$"),
+    (Limits(max_ramification="5/2"), "^Limits.max_ramification: 5/2 is not a whole number$"),
+    (Limits(max_branches=Fraction(3, 2)), "^Limits.max_branches: 3/2 is not a whole number$"),
+], ids=["max_ramification 2.5", "max_branches 1.5", "max_ramification 5/2",
+        "max_branches 3/2"])
+def test_the_count_limits_are_read_as_whole_numbers(search, limits, err):
+    # 2.5 and 1.5 were accepted and the cusp gave 2 branches; "3" was a TypeError
+    with pytest.raises(ValueError, match=err):
+        search(CUSP, limits)
+
+
+def test_whole_count_limits_of_any_exact_type_are_accepted():
+    exact = Limits(max_ramification=2, max_branches=1)
+    for text in (Limits(max_ramification="2", max_branches="1"),
+                 Limits(max_ramification=Fraction(2), max_branches="2/2")):
+        assert expand_branches(CUSP, text) == expand_branches(CUSP, exact)
+        assert _admissible(CUSP, text) == _admissible(CUSP, exact)
+    assert len(expand_branches(CUSP, Limits(max_ramification="3")).branches) == 2
+
+
 def test_admissible_steps_reads_its_limits_exactly():
     text = admissible_steps(RADIAL, limits=Limits("3/2", 1, 1, ("1", "-2/3")))
     exact = admissible_steps(RADIAL, limits=Limits(Fraction(3, 2), 1, 1, (1, Fraction(-2, 3))))

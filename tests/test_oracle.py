@@ -149,6 +149,24 @@ def test_the_oracle_reads_its_rationals_exactly(call, err):
         call()
 
 
+@pytest.mark.parametrize("seed, err", [
+    (1.5, r"^floats are not exact: 1\.5$"),
+    (Fraction(3, 2), "^3/2 is not a whole number$"),
+    ("5/2", "^5/2 is not a whole number$"),
+], ids=["1.5", "Fraction 3/2", "text 5/2"])
+def test_gen_case_reads_its_seed_as_a_whole_number(seed, err):
+    # "%d" % 1.5 keyed the RNG as seed 1 while the case reported seed=1.5
+    with pytest.raises(ValueError, match=err):
+        gen_case((Fraction(3, 2),), seed)
+
+
+def test_gen_case_takes_a_whole_seed_of_any_exact_type():
+    case = gen_case((Fraction(3, 2),), 3)
+    for seed in (Fraction(3), "3", "6/2"):
+        same = gen_case((Fraction(3, 2),), seed)
+        assert same == case and type(same.seed) is int
+
+
 def test_the_oracle_reads_rational_strings():
     assert gen_case(("3/2", "7/4"), 3) == gen_case((Fraction(3, 2), Fraction(7, 4)), 3)
     assert branch_to_curve({3: "1/2", 4: "-2"}, 2) == branch_to_curve(
@@ -246,6 +264,29 @@ def test_planted_cases_beyond_the_corpus_balance_their_separatrices(sig, seed):
     w = gen_case(sig, seed).form
     found, mult, decided = separatrix_balance(w, expand_branches(w))
     assert decided and found == mult
+
+
+# every x^i y^j with 2 <= i + j <= 6: no f built from them has a linear term,
+# so each df is singular
+LOW_MONOMIALS = [(i, n - i) for n in range(2, 7) for i in range(n + 1)]
+
+
+def random_exact_forms(seed, count):
+    """``count`` forms ``df`` drawn by ``random.Random(seed)``: each ``f`` has 2 to 4
+    distinct monomials of ``LOW_MONOMIALS``, with coefficients in +-{1, 2, 3}."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        monomials = rng.sample(LOW_MONOMIALS, rng.randint(2, 4))
+        yield differential(PuiseuxPoly({m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in monomials}))
+
+
+def test_random_exact_forms_show_no_surplus_and_pin_the_balanced_count():
+    # the measure of completeness: items 2 and 4 of the roadmap raise the count
+    balances = [separatrix_balance(w, expand_branches(w, Limits(max_exponent=12)))
+                for w in random_exact_forms(0, 400)]
+    assert [b for b in balances if b.found > b.multiplicity] == []
+    balanced = [b for b in balances if b.found == b.multiplicity]
+    assert (len(balanced), sum(b.decided for b in balanced)) == (24, 6)
 
 
 @pytest.mark.parametrize("w, balance", [
