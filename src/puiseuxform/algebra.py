@@ -29,29 +29,40 @@ _MAX_DECIMAL_EXPONENT = 1000
 
 def _rational(value: RatLike, name: str | None = None) -> int | Fraction:
     """The one reader of a rational argument: an int or a ``Fraction`` as it is,
-    a float a ``ValueError`` (it is not exact), anything else ``Fraction(value)``,
-    so ``"p/q"`` strings are read exactly, and a string's decimal exponent
-    above 1000 in absolute value is refused before the number is built.
-    With a ``name``, every error is a ``ValueError`` that starts with it."""
+    a float a ``ValueError`` (it is not exact), anything else ``Fraction`` of
+    its text, so ``"p/q"`` strings and ``Decimal`` values are read exactly, and
+    a decimal exponent above 1000 in absolute value is refused before the
+    number is built.  With a ``name``, every error is a ``ValueError`` that
+    starts with it."""
     if isinstance(value, (int, Fraction)):
         return value
     try:
         if isinstance(value, float):
             raise ValueError("floats are not exact: %r" % value)
-        if isinstance(value, str):
-            _mantissa, e, exponent = value.lower().rpartition("e")
-            try:
-                too_big = bool(e) and abs(int(exponent)) > _MAX_DECIMAL_EXPONENT
-            except ValueError:  # no exponent that int() reads: Fraction reports the text
-                too_big = False
-            if too_big:
-                raise ValueError("decimal exponent %s is above the limit %d"
-                                 % (exponent.strip(), _MAX_DECIMAL_EXPONENT))
+        value = str(value)
+        _mantissa, e, exponent = value.lower().rpartition("e")
+        try:
+            too_big = bool(e) and abs(int(exponent)) > _MAX_DECIMAL_EXPONENT
+        except ValueError:  # no exponent that int() reads: Fraction reports the text
+            too_big = False
+        if too_big:
+            raise ValueError("decimal exponent %s is above the limit %d"
+                             % (exponent.strip(), _MAX_DECIMAL_EXPONENT))
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         if name is None:
             raise
         raise ValueError("%s: %s" % (name, exc)) from None
+
+
+def _whole(value: RatLike, name: str | None = None) -> int:
+    """``value`` read by :func:`_rational` as an int, or a ``ValueError``, named
+    as there, when it is not a whole number."""
+    v = _rational(value, name)
+    if v.denominator == 1:
+        return int(v)
+    text = "%s is not a whole number" % rat_str(v)
+    raise ValueError(text if name is None else "%s: %s" % (name, text))
 
 
 def rat_str(value: RatLike) -> str:
@@ -222,7 +233,7 @@ class PuiseuxPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "PuiseuxPoly":
-        n = int(n)
+        n = _whole(n)
         if n < 0:
             raise ValueError("negative powers are not defined")
         result = _monomial(Fraction(1))

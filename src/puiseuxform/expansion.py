@@ -31,6 +31,7 @@ from .algebra import (
     INFINITY,
     OneForm,
     _rational,
+    _whole,
     power_text,
     rat_str,
     signed_sum,
@@ -105,21 +106,21 @@ _FIELD_NAMES = {field: "Limits." + field for field in Limits._fields}
 
 
 def _checked(limits: Limits, names: dict[str, str] = _FIELD_NAMES) -> Limits:
-    """``limits`` with its exponent and samples read exactly, or a ``ValueError``
-    naming the field at fault by ``names``: the samples are checked first, then
-    ``max_ramification``, ``max_branches`` and, read last, ``max_exponent``."""
+    """``limits`` with every field read exactly, the two counts as whole numbers,
+    or a ``ValueError`` naming the field at fault by ``names``: the samples are
+    checked first, then ``max_ramification``, ``max_branches`` and ``max_exponent``."""
     samples = tuple(_rational(c, names["dicritical_samples"]) for c in limits.dicritical_samples)
     if not samples:
         raise ValueError("%s must list at least one coefficient" % names["dicritical_samples"])
     if len(set(samples)) != len(samples):
         raise ValueError("%s must not repeat a coefficient" % names["dicritical_samples"])
-    for field in ("max_ramification", "max_branches", "max_exponent"):
-        value = getattr(limits, field)
-        if field == "max_exponent":
-            value = _rational(value, names[field])
-        if value < 1:
+    values = {}
+    for field, read in (("max_ramification", _whole), ("max_branches", _whole),
+                        ("max_exponent", _rational)):
+        values[field] = read(getattr(limits, field), names[field])
+        if values[field] < 1:
             raise ValueError("%s must be at least 1" % names[field])
-    return limits._replace(max_exponent=value, dicritical_samples=samples)
+    return limits._replace(dicritical_samples=samples, **values)
 
 
 class TraceStep(NamedTuple):

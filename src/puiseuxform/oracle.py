@@ -26,7 +26,9 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import INFINITY, OneForm, PuiseuxPoly, _rational, _record, _sum, _to_grid, differential
+from .algebra import (
+    INFINITY, OneForm, PuiseuxPoly, _rational, _record, _sum, _to_grid, _whole, differential,
+)
 from .expansion import BranchStep, PuiseuxBranch
 
 
@@ -128,7 +130,7 @@ def gen_case(signature, seed: int) -> GeneratedCase:
     unramified case (empty signature) the curve is smooth, so a second
     transverse line is multiplied in to make the differential singular.
     """
-    signature = tuple(_rational(e) for e in signature)
+    signature, seed = tuple(_rational(e) for e in signature), _whole(seed)
     m = _validate_signature(signature)
     rng = random.Random("gen_case:%s:%d" % (signature, seed))
 
